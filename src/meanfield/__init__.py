@@ -5,7 +5,7 @@ transform library (with Jacobian corrections), a factorized Gaussian is fit
 by stochastic gradient ascent on Monte Carlo objective estimates, and
 fitted posteriors are sampled back in the constrained space and scored on
 held-out data. Gradients come from a scalar reverse-mode tape, so any model
-expressed through the bundled density catalog is differentiable end to end.
+written with the bundled densities is differentiable end to end.
 """
 
 from . import autodiff, densities, transforms
@@ -35,7 +35,6 @@ from .io import RunManifest, load_dataset, write_outputs
 from .model import (
     Dataset,
     ModelDefinition,
-    log_joint_constrained,
     log_joint_unconstrained,
     minibatch_log_joint,
 )

@@ -8,9 +8,12 @@ between evaluations.
 
 The primitive set is deliberately small: add, sub, mul, div, neg, log, exp,
 sqrt, pow, logistic, log_gamma, plus the n-ary reductions log_sum_exp and
-dot. The module-level functions (:func:`exp`, :func:`log`, :func:`dot`, ...)
-accept either plain floats or :class:`Var` operands, so the same model code
-can run tape-free when no gradient is needed.
+dot. Each primitive is defined once: the arithmetic ones as :class:`Var`
+operators, the rest as module functions (:func:`exp`, :func:`log`,
+:func:`dot`, ...). A primitive accepts plain floats or :class:`Var`
+operands, so the same model code can run tape-free when no gradient is
+needed; on a Var it appends one node through ``Graph._push``, and its
+partial derivatives live in the matching branch of :meth:`Graph.adjoints`.
 """
 
 from __future__ import annotations
@@ -18,17 +21,12 @@ from __future__ import annotations
 import math
 from typing import Sequence, Union
 
-from scipy.special import digamma as _digamma
-
 from .errors import DomainError
 
 __all__ = [
     "Graph",
     "Var",
     "Scalar",
-    "build_variable",
-    "apply_primitive",
-    "backward",
     "gradient",
     "exp",
     "log",
@@ -57,13 +55,6 @@ LGAMMA = 11
 LSE = 12
 DOT = 13
 
-_OP_NAMES = {
-    "add": ADD, "sub": SUB, "mul": MUL, "div": DIV, "neg": NEG,
-    "log": LOG, "exp": EXP, "sqrt": SQRT, "pow": POW,
-    "logistic": LOGISTIC, "log_gamma": LGAMMA,
-    "log_sum_exp": LSE, "dot": DOT,
-}
-
 _INF = math.inf
 
 
@@ -78,8 +69,19 @@ def _fexp(x: float) -> float:
 
 
 def _flgamma(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"log_gamma: argument must be > 0, got {x}")
     try:
         return math.lgamma(x)
+    except OverflowError:
+        return _INF
+
+
+def _fpow(x: float, y: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"pow: base must be > 0, got {x}")
+    try:
+        return x ** y
     except OverflowError:
         return _INF
 
@@ -106,17 +108,16 @@ class Graph:
 
     A graph is single-owner: it is mutated only by the code building it and
     is never shared mid-build. Parallel evaluation means one graph per
-    worker, not a shared one.
+    worker, not a shared one. Nodes other than leaves are appended by the
+    primitives (the module functions and :class:`Var`'s operators).
     """
 
-    __slots__ = ("ops", "args", "vals", "leaves",
-                 "_ap_op", "_ap_arg", "_ap_val")
+    __slots__ = ("ops", "args", "vals", "_ap_op", "_ap_arg", "_ap_val")
 
     def __init__(self):
         self.ops: list[int] = []
         self.args: list[tuple] = []
         self.vals: list[float] = []
-        self.leaves: list[int] = []
         # bound appends: graph building is the hot path of every gradient
         self._ap_op = self.ops.append
         self._ap_arg = self.args.append
@@ -133,6 +134,7 @@ class Graph:
         return Var(self, i, val)
 
     def leaf(self, value: float) -> "Var":
+        """Append a leaf node holding ``value`` (must be finite)."""
         value = float(value)
         if not math.isfinite(value):
             raise DomainError(f"leaf value must be finite, got {value!r}")
@@ -140,7 +142,6 @@ class Graph:
         self._ap_op(LEAF)
         self._ap_arg(())
         self._ap_val(value)
-        self.leaves.append(i)
         return Var(self, i, value)
 
     def _lift(self, x) -> "Var":
@@ -149,90 +150,6 @@ class Graph:
                 raise ValueError("operands belong to different graphs")
             return x
         return self.leaf(x)
-
-    # -- primitives on Var operands ------------------------------------
-
-    def add(self, a: "Var", b: "Var") -> "Var":
-        i = len(self.vals)
-        self._ap_op(ADD)
-        self._ap_arg((a.i, b.i))
-        v = a.val + b.val
-        self._ap_val(v)
-        return Var(self, i, v)
-
-    def sub(self, a: "Var", b: "Var") -> "Var":
-        i = len(self.vals)
-        self._ap_op(SUB)
-        self._ap_arg((a.i, b.i))
-        v = a.val - b.val
-        self._ap_val(v)
-        return Var(self, i, v)
-
-    def mul(self, a: "Var", b: "Var") -> "Var":
-        i = len(self.vals)
-        self._ap_op(MUL)
-        self._ap_arg((a.i, b.i))
-        v = a.val * b.val
-        self._ap_val(v)
-        return Var(self, i, v)
-
-    def div(self, a: "Var", b: "Var") -> "Var":
-        if b.val == 0.0:
-            raise DomainError("div: divisor is 0")
-        i = len(self.vals)
-        self._ap_op(DIV)
-        self._ap_arg((a.i, b.i))
-        v = a.val / b.val
-        self._ap_val(v)
-        return Var(self, i, v)
-
-    def neg(self, a: "Var") -> "Var":
-        return self._push(NEG, (a.i,), -a.val)
-
-    def log(self, a: "Var") -> "Var":
-        if a.val <= 0.0:
-            raise DomainError(f"log: argument must be > 0, got {a.val}")
-        return self._push(LOG, (a.i,), math.log(a.val))
-
-    def exp(self, a: "Var") -> "Var":
-        return self._push(EXP, (a.i,), _fexp(a.val))
-
-    def sqrt(self, a: "Var") -> "Var":
-        if a.val < 0.0:
-            raise DomainError(f"sqrt: argument must be >= 0, got {a.val}")
-        return self._push(SQRT, (a.i,), math.sqrt(a.val))
-
-    def pow(self, a: "Var", b: "Var") -> "Var":
-        if a.val <= 0.0:
-            raise DomainError(f"pow: base must be > 0, got {a.val}")
-        try:
-            v = a.val ** b.val
-        except OverflowError:
-            v = _INF
-        return self._push(POW, (a.i, b.i), v)
-
-    def logistic(self, a: "Var") -> "Var":
-        return self._push(LOGISTIC, (a.i,), _flogistic(a.val))
-
-    def log_gamma(self, a: "Var") -> "Var":
-        if a.val <= 0.0:
-            raise DomainError(f"log_gamma: argument must be > 0, got {a.val}")
-        return self._push(LGAMMA, (a.i,), _flgamma(a.val))
-
-    def log_sum_exp(self, xs: Sequence["Var"]) -> "Var":
-        if not xs:
-            raise ValueError("log_sum_exp needs at least one operand")
-        return self._push(LSE, tuple(x.i for x in xs),
-                          _flse([x.val for x in xs]))
-
-    def dot(self, xs: Sequence["Var"], ys: Sequence["Var"]) -> "Var":
-        if len(xs) != len(ys) or not xs:
-            raise ValueError("dot needs two equal-length nonempty lists")
-        s = 0.0
-        for x, y in zip(xs, ys):
-            s += x.val * y.val
-        arg = tuple(x.i for x in xs) + tuple(y.i for y in ys)
-        return self._push(DOT, arg, s)
 
     # -- reverse sweep --------------------------------------------------
 
@@ -289,7 +206,10 @@ class Graph:
                 v = vals[i]
                 adj[ar[0]] += a * 0.5 / v if v != 0.0 else math.copysign(_INF, a)
             elif op == LGAMMA:
-                adj[ar[0]] += a * float(_digamma(vals[ar[0]]))
+                # imported here: zoo models apply log_gamma only to float
+                # hyperparameters, so a batch job never loads scipy
+                from scipy.special import digamma
+                adj[ar[0]] += a * float(digamma(vals[ar[0]]))
             elif op == POW:
                 x, y = ar
                 vx, vy = vals[x], vals[y]
@@ -313,94 +233,64 @@ class Var:
     def __repr__(self):
         return f"Var(node={self.i}, val={self.val!r})"
 
-    # Arithmetic with automatic lifting of plain numbers to leaf nodes.
+    # Arithmetic primitives; a plain-number operand is lifted to a leaf node
+    # first, so it gets a node index below the result's.
     def __add__(self, other):
         g = self.graph
-        return g.add(self, other if type(other) is Var else g.leaf(other))
+        if type(other) is not Var:
+            other = g.leaf(other)
+        return g._push(ADD, (self.i, other.i), self.val + other.val)
 
     def __radd__(self, other):
         g = self.graph
-        return g.add(g.leaf(other), self)
+        a = g.leaf(other)
+        return g._push(ADD, (a.i, self.i), a.val + self.val)
 
     def __sub__(self, other):
         g = self.graph
-        return g.sub(self, other if type(other) is Var else g.leaf(other))
+        if type(other) is not Var:
+            other = g.leaf(other)
+        return g._push(SUB, (self.i, other.i), self.val - other.val)
 
     def __rsub__(self, other):
         g = self.graph
-        return g.sub(g.leaf(other), self)
+        a = g.leaf(other)
+        return g._push(SUB, (a.i, self.i), a.val - self.val)
 
     def __mul__(self, other):
         g = self.graph
-        return g.mul(self, other if type(other) is Var else g.leaf(other))
+        if type(other) is not Var:
+            other = g.leaf(other)
+        return g._push(MUL, (self.i, other.i), self.val * other.val)
 
     def __rmul__(self, other):
         g = self.graph
-        return g.mul(g.leaf(other), self)
+        a = g.leaf(other)
+        return g._push(MUL, (a.i, self.i), a.val * self.val)
 
     def __truediv__(self, other):
         g = self.graph
-        return g.div(self, other if type(other) is Var else g.leaf(other))
+        if type(other) is not Var:
+            other = g.leaf(other)
+        if other.val == 0.0:
+            raise DomainError("div: divisor is 0")
+        return g._push(DIV, (self.i, other.i), self.val / other.val)
 
     def __rtruediv__(self, other):
         g = self.graph
-        return g.div(g.leaf(other), self)
+        a = g.leaf(other)
+        if self.val == 0.0:
+            raise DomainError("div: divisor is 0")
+        return g._push(DIV, (a.i, self.i), a.val / self.val)
 
     def __neg__(self):
-        return self.graph.neg(self)
+        return self.graph._push(NEG, (self.i,), -self.val)
 
     def __pow__(self, other):
-        g = self.graph
-        return g.pow(self, other if type(other) is Var else g.leaf(other))
+        return power(self, other)
 
 
 Scalar = Union[float, Var]
-
-
-# -- spec-level operations --------------------------------------------------
-
-def build_variable(graph: Graph, value: float) -> Var:
-    """Append a leaf node holding ``value`` (must be finite)."""
-    return graph.leaf(value)
-
-
-def apply_primitive(graph: Graph, kind: str, operands: Sequence[Var]) -> Var:
-    """Apply a named primitive to operands already living on ``graph``.
-
-    ``dot`` takes a flat even-length sequence (first half paired with the
-    second half); ``log_sum_exp`` is n-ary; the rest are unary or binary.
-    """
-    if kind not in _OP_NAMES:
-        raise ValueError(f"unknown primitive {kind!r}")
-    for v in operands:
-        if type(v) is not Var or v.graph is not graph:
-            raise ValueError("operands must be Vars of the given graph")
-    op = _OP_NAMES[kind]
-    if op == LSE:
-        return graph.log_sum_exp(operands)
-    if op == DOT:
-        if len(operands) % 2 != 0:
-            raise ValueError("dot takes an even number of operands")
-        h = len(operands) // 2
-        return graph.dot(operands[:h], operands[h:])
-    if op in (ADD, SUB, MUL, DIV, POW):
-        if len(operands) != 2:
-            raise ValueError(f"{kind} takes exactly 2 operands")
-        a, b = operands
-        return getattr(graph, kind)(a, b)
-    if len(operands) != 1:
-        raise ValueError(f"{kind} takes exactly 1 operand")
-    return getattr(graph, kind)(operands[0])
-
-
-def backward(graph: Graph, output: Var) -> dict[int, float]:
-    """Partial derivative of ``output`` w.r.t. every leaf of ``graph``.
-
-    The returned map is keyed by leaf node index; the seed adjoint of
-    ``output`` is 1.
-    """
-    adj = graph.adjoints(output)
-    return {i: adj[i] for i in graph.leaves}
 
 
 def gradient(output: Var, wrt: Sequence[Var]) -> list[float]:
@@ -409,17 +299,25 @@ def gradient(output: Var, wrt: Sequence[Var]) -> list[float]:
     return [adj[v.i] for v in wrt]
 
 
-# -- generic math: floats and Vars through one code path ---------------------
+# -- primitives: one definition each, on floats and on Vars ------------------
+#
+# A unary primitive tests ``type(x) is Var`` once: a Var operand appends a
+# node to its graph, a float is computed directly (the tape-free path of
+# objective estimates and held-out scoring, where one more test per call
+# shows in the run time).
 
 def exp(x: Scalar) -> Scalar:
     if type(x) is Var:
-        return x.graph.exp(x)
+        return x.graph._push(EXP, (x.i,), _fexp(x.val))
     return _fexp(x)
 
 
 def log(x: Scalar) -> Scalar:
     if type(x) is Var:
-        return x.graph.log(x)
+        v = x.val
+        if v <= 0.0:
+            raise DomainError(f"log: argument must be > 0, got {v}")
+        return x.graph._push(LOG, (x.i,), math.log(v))
     if x <= 0.0:
         raise DomainError(f"log: argument must be > 0, got {x}")
     return math.log(x)
@@ -427,7 +325,10 @@ def log(x: Scalar) -> Scalar:
 
 def sqrt(x: Scalar) -> Scalar:
     if type(x) is Var:
-        return x.graph.sqrt(x)
+        v = x.val
+        if v < 0.0:
+            raise DomainError(f"sqrt: argument must be >= 0, got {v}")
+        return x.graph._push(SQRT, (x.i,), math.sqrt(v))
     if x < 0.0:
         raise DomainError(f"sqrt: argument must be >= 0, got {x}")
     return math.sqrt(x)
@@ -435,29 +336,25 @@ def sqrt(x: Scalar) -> Scalar:
 
 def logistic(x: Scalar) -> Scalar:
     if type(x) is Var:
-        return x.graph.logistic(x)
+        return x.graph._push(LOGISTIC, (x.i,), _flogistic(x.val))
     return _flogistic(x)
 
 
 def log_gamma(x: Scalar) -> Scalar:
     if type(x) is Var:
-        return x.graph.log_gamma(x)
-    if x <= 0.0:
-        raise DomainError(f"log_gamma: argument must be > 0, got {x}")
+        return x.graph._push(LGAMMA, (x.i,), _flgamma(x.val))
     return _flgamma(x)
 
 
 def power(x: Scalar, y: Scalar) -> Scalar:
     if type(x) is Var:
-        return x.graph.pow(x, y if type(y) is Var else x.graph.leaf(y))
-    if type(y) is Var:
-        return y.graph.pow(y.graph.leaf(x), y)
-    if x <= 0.0:
-        raise DomainError(f"pow: base must be > 0, got {x}")
-    try:
-        return x ** y
-    except OverflowError:
-        return _INF
+        g = x.graph
+    elif type(y) is Var:
+        g = y.graph
+    else:
+        return _fpow(x, y)
+    x, y = g._lift(x), g._lift(y)
+    return g._push(POW, (x.i, y.i), _fpow(x.val, y.val))
 
 
 def _find_graph(values) -> Graph | None:
@@ -472,17 +369,22 @@ def log_sum_exp(xs: Sequence[Scalar]) -> Scalar:
     g = _find_graph(xs)
     if g is None:
         return _flse(xs)
-    return g.log_sum_exp([g._lift(x) for x in xs])
+    xs = [g._lift(x) for x in xs]
+    return g._push(LSE, tuple(x.i for x in xs), _flse([x.val for x in xs]))
 
 
 def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
     """Inner product of two equal-length scalar sequences as one node."""
+    if len(xs) != len(ys) or not len(xs):
+        raise ValueError("dot needs two equal-length nonempty lists")
     g = _find_graph(xs) or _find_graph(ys)
+    s = 0.0
     if g is None:
-        if len(xs) != len(ys) or not len(xs):
-            raise ValueError("dot needs two equal-length nonempty lists")
-        s = 0.0
         for x, y in zip(xs, ys):
             s += x * y
         return s
-    return g.dot([g._lift(x) for x in xs], [g._lift(y) for y in ys])
+    xs = [g._lift(x) for x in xs]
+    ys = [g._lift(y) for y in ys]
+    for x, y in zip(xs, ys):
+        s += x.val * y.val
+    return g._push(DOT, tuple(x.i for x in xs) + tuple(y.i for y in ys), s)

@@ -16,7 +16,6 @@ from .errors import DomainError
 __all__ = [
     "normal", "lognormal", "gamma", "inverse_gamma", "exponential",
     "dirichlet", "poisson", "bernoulli_logit", "uniform",
-    "log_density", "CATALOG",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -120,24 +119,3 @@ def uniform(x, lower, upper):
              f"value {_num(x)} outside [{lower}, {upper}]")
     return -math.log(upper - lower)
 
-
-CATALOG = {
-    "normal": normal,
-    "lognormal": lognormal,
-    "gamma": gamma,
-    "inverse_gamma": inverse_gamma,
-    "exponential": exponential,
-    "dirichlet": dirichlet,
-    "poisson": poisson,
-    "bernoulli_logit": bernoulli_logit,
-    "uniform": uniform,
-}
-
-
-def log_density(name: str, value, *params):
-    """Evaluate a named catalog entry: ``log_density('normal', x, loc, scale)``."""
-    try:
-        fn = CATALOG[name]
-    except KeyError:
-        raise DomainError(f"unknown density {name!r}") from None
-    return fn(value, *params)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .model import Dataset, ModelDefinition, constrain_blocks, \
     log_joint_unconstrained, minibatch_log_joint
-from .transforms import BlockSpec, constrained_dim
+from .transforms import BlockSpec
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -132,34 +133,27 @@ class FitConfig:
 class OptState:
     """Sliding window of squared gradients for the adaptive stepsize.
 
-    The window sum is recomputed from the buffer in chronological order on
-    every step (no running-sum drift), so it equals the brute-force sum of
-    the last min(iteration, window) squared gradients exactly. No RNG state
-    lives here: streams are pure functions of (seed, stream kind,
-    iteration), so the iteration counter is the whole of it.
+    The window sum is recomputed oldest-first from zeros on every step (no
+    running-sum drift), so it equals the brute-force sum of the last
+    min(iteration, window) squared gradients exactly. No RNG state lives
+    here: streams are pure functions of (seed, stream kind, iteration), so
+    the iteration counter is the whole of it.
     """
 
     dim: int
     window: int
     iteration: int = 0
-    _pos: int = 0
-    buffer: np.ndarray = field(init=False)
+    recent: deque = field(init=False)
 
     def __post_init__(self):
-        self.buffer = np.zeros((self.window, self.dim))
+        self.recent = deque(maxlen=self.window)
 
     def update(self, squared: np.ndarray) -> np.ndarray:
-        self.buffer[self._pos] = squared
-        self._pos = (self._pos + 1) % self.window
+        self.recent.append(squared)
         self.iteration += 1
-        count = min(self.iteration, self.window)
-        if self.iteration <= self.window:
-            order = range(count)
-        else:
-            order = ((self._pos + j) % self.window for j in range(count))
         total = np.zeros(self.dim)
-        for idx in order:
-            total = total + self.buffer[idx]
+        for sq in self.recent:
+            total = total + sq
         return total
 
 
@@ -202,19 +196,6 @@ class PosteriorDraws:
         parts = [self.samples[b.name].reshape(self.size, -1)
                  for b in self.blocks]
         return np.concatenate(parts, axis=1)
-
-    def row_values(self, s: int) -> dict:
-        """Draw ``s`` as named python values usable by model evaluators."""
-        out = {}
-        for b in self.blocks:
-            arr = self.samples[b.name]
-            if b.scalar:
-                out[b.name] = float(arr[s])
-            elif b.rows is None:
-                out[b.name] = [float(v) for v in arr[s]]
-            else:
-                out[b.name] = [[float(v) for v in row] for row in arr[s]]
-        return out
 
 
 def inverse_standardize(params: VariationalParams,
@@ -436,17 +417,7 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
     gen = _as_generator(rng)
     eta = gen.standard_normal((size, params.dim))
     zeta = np.exp(params.omega) * eta + params.mu
-    out: dict[str, np.ndarray] = {}
-    for b in model.blocks:
-        d = constrained_dim(b.kind)
-        if b.scalar:
-            out[b.name] = np.empty(size)
-        elif b.rows is None:
-            out[b.name] = np.empty((size, d))
-        else:
-            out[b.name] = np.empty((size, b.rows, d))
-    for s in range(size):
-        values, _ = constrain_blocks(model, zeta[s])
-        for b in model.blocks:
-            out[b.name][s] = values[b.name]
+    values = [constrain_blocks(model, z)[0] for z in zeta]
+    out = {b.name: np.array([v[b.name] for v in values])
+           for b in model.blocks}
     return PosteriorDraws(blocks=model.blocks, samples=out, size=size)

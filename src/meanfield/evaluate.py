@@ -45,7 +45,9 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
     num_points = model.num_observations(heldout)
     if num_points < 1:
         raise ConfigurationError("held-out dataset has no observations")
-    values_per_draw = [draws.row_values(s) for s in range(draws.size)]
+    columns = {name: arr.tolist() for name, arr in draws.samples.items()}
+    values_per_draw = [{name: col[s] for name, col in columns.items()}
+                       for s in range(draws.size)]
     point_scores = []
     failed_index = None
     for n in range(num_points):

@@ -26,7 +26,6 @@ __all__ = [
     "Dataset",
     "ModelDefinition",
     "constrain_blocks",
-    "log_joint_constrained",
     "log_joint_unconstrained",
     "minibatch_log_joint",
 ]
@@ -114,17 +113,6 @@ def constrain_blocks(model: ModelDefinition, zeta: Sequence[ad.Scalar]):
         log_det = log_det + ld
         offset += n
     return values, log_det
-
-
-def log_joint_constrained(model: ModelDefinition, data: Dataset, values):
-    """Log prior plus full-data log likelihood at given constrained values
-    (no Jacobian terms)."""
-    out = model.log_prior(values, data)
-    total = None
-    for n in range(model.num_observations(data)):
-        t = model.loglik_term(values, data, n)
-        total = t if total is None else total + t
-    return out if total is None else out + total
 
 
 def _joint(model, data, zeta, batch, scale):

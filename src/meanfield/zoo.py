@@ -1,7 +1,7 @@
 """Built-in model collection and synthetic data generators.
 
-Seven ready-made models, each returning a :class:`ModelDefinition` whose
-log joint is differentiable through the tape:
+Six ready-made models under seven names, each returning a
+:class:`ModelDefinition` whose log joint is differentiable through the tape:
 
 * ``poisson_exponential`` - Poisson counts with an Exponential(rate) prior
   on the rate; the smallest nonconjugate example.
@@ -19,8 +19,8 @@ log joint is differentiable through the tape:
 * ``gmm`` - diagonal Gaussian mixture with Dirichlet weights, Gaussian
   location priors, and lognormal scale priors; mixture assignments are
   marginalized with log_sum_exp.
-* ``gmm_minibatch`` - the same mixture, intended for subsampled runs where
-  each iteration scales a random batch's likelihood by N/B.
+* ``gmm_minibatch`` - another name for ``gmm``, kept for subsampled runs
+  where each iteration scales a random batch's likelihood by N/B.
 
 Dimensions that define the block layout (K, D, U, I, group counts) are
 passed via ``dims``; real-valued prior settings via ``hyperparams``.
@@ -214,7 +214,7 @@ def _build_dirichlet_exponential_nmf(hypers, dims):
     )
 
 
-def _build_gmm(hypers, dims, name="gmm"):
+def _build_gmm(hypers, dims):
     k, d = dims["K"], dims["D"]
     alpha0 = hypers["alpha0"]
     mu_sigma0 = hypers["mu_sigma0"]
@@ -244,7 +244,7 @@ def _build_gmm(hypers, dims, name="gmm"):
         return ad.log_sum_exp(comps)
 
     return ModelDefinition(
-        name=name,
+        name="gmm",
         blocks=(
             BlockSpec("theta", Simplex(k)),
             BlockSpec("mu", Identity(d), rows=k),
@@ -290,16 +290,12 @@ _ZOO: dict[str, _ZooEntry] = {
         ("U", "I", "K"), {"K": 10},
         lambda data: {"U": len(data["y"]), "I": len(data["y"][0])}),
     "gmm": _ZooEntry(
-        lambda h, d: _build_gmm(h, d, name="gmm"),
-        {"alpha0": 10000.0, "mu_sigma0": 0.1, "sigma_sigma0": 0.1},
-        ("K", "D"), {"K": 10},
-        lambda data: {"D": len(data["y"][0])}),
-    "gmm_minibatch": _ZooEntry(
-        lambda h, d: _build_gmm(h, d, name="gmm_minibatch"),
+        _build_gmm,
         {"alpha0": 10000.0, "mu_sigma0": 0.1, "sigma_sigma0": 0.1},
         ("K", "D"), {"K": 10},
         lambda data: {"D": len(data["y"][0])}),
 }
+_ZOO["gmm_minibatch"] = _ZOO["gmm"]  # the name subsampled runs use
 
 ZOO_NAMES = tuple(_ZOO)
 

@@ -42,13 +42,6 @@ def test_uniform_value():
         dens.uniform(5.0, -1.0, 4.0)
 
 
-def test_log_density_dispatch():
-    assert dens.log_density("normal", 0.0, 0.0, 1.0) == \
-        dens.normal(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError, match="unknown density"):
-        dens.log_density("cauchy", 0.0)
-
-
 def _midpoint_integral(f, lo, hi, n):
     h = (hi - lo) / n
     xs = lo + h * (np.arange(n) + 0.5)

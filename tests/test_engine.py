@@ -333,12 +333,18 @@ class TestDrawPosterior:
         assert a.samples["lam"].tolist() == b.samples["lam"].tolist()
 
     def test_row_values_shapes(self):
-        model = zoo.make_model("gmm", dims={"K": 2, "D": 3})
-        params = VariationalParams(np.zeros(model.dim), np.zeros(model.dim))
-        draws = draw_posterior(model, params, 2, 0)
-        values = draws.row_values(0)
-        assert isinstance(values["theta"], list) and len(values["theta"]) == 2
-        assert len(values["mu"]) == 2 and len(values["mu"][0]) == 3
+        # scalar blocks give (S,), vector blocks (S, d), per-row blocks
+        # (S, rows, d)
+        for name, dims, shapes in (
+                ("linreg_ard", {"D": 3}, {"w": (4, 3), "sigma2": (4,),
+                                          "alpha": (4, 3)}),
+                ("gmm", {"K": 2, "D": 3}, {"theta": (4, 2), "mu": (4, 2, 3),
+                                           "sigma": (4, 2, 3)})):
+            model = zoo.make_model(name, dims=dims)
+            params = VariationalParams(np.zeros(model.dim),
+                                       np.zeros(model.dim))
+            draws = draw_posterior(model, params, 4, 0)
+            assert {k: v.shape for k, v in draws.samples.items()} == shapes
 
     def test_column_names_and_flatten(self):
         model = zoo.make_model("gmm", dims={"K": 2, "D": 1})
