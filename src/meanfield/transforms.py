@@ -15,7 +15,8 @@ Formulas:
 * Interval(a,b):  theta = a + (b-a)*logistic(zeta),
                   log_det = sum(log(b-a) + log s + log(1-s))
 * Simplex(K):     stick-breaking with a log(1/(K-k)) offset so zeta = 0
-                  maps to the uniform simplex
+                  maps to the uniform simplex; the remaining stick is kept
+                  in log space so no component rounds to 0
 * Ordered(K):     theta_1 = zeta_1, theta_k = theta_{k-1} + exp(zeta_k)
 * PositiveOrdered(K): like Ordered but theta_1 = exp(zeta_1)
 * Identity:       theta = zeta, log_det = 0
@@ -171,17 +172,20 @@ def constrain(kind: TransformKind, zeta: Sequence[ad.Scalar]):
             log_det = log_det + (log_width + z - 2.0 * _softplus(z))
         return theta, log_det
     if isinstance(kind, Simplex):
+        # The remaining stick is carried as its log, since
+        # log(1 - logistic(t)) = -softplus(t): subtracting the broken-off
+        # piece from the stick would round it to 0 once a piece saturates.
         k = kind.size
-        rem = 1.0
+        log_rem = 0.0
         theta = []
         log_det = 0.0
         for i in range(k - 1):
             t = zeta[i] - math.log(float(k - 1 - i))
-            z = ad.logistic(t)
-            theta.append(rem * z)
-            log_det = log_det + (ad.log(rem) + t - 2.0 * _softplus(t))
-            rem = rem - theta[-1]
-        theta.append(rem)
+            sp = _softplus(t)
+            theta.append(ad.exp(log_rem) * ad.logistic(t))
+            log_det = log_det + (log_rem + t - 2.0 * sp)
+            log_rem = log_rem - sp
+        theta.append(ad.exp(log_rem))
         return theta, log_det
     if isinstance(kind, Ordered):
         theta = [zeta[0]]
@@ -272,18 +276,15 @@ def unconstrain(kind: TransformKind, theta: Sequence[float]) -> list[float]:
         return [math.log(x - kind.lower) - math.log(kind.upper - x)
                 for x in theta]
     if isinstance(kind, Simplex):
+        # The stick left after component i is the sum of the later ones,
+        # accumulated from the end: one minus a prefix sum cancels when the
+        # later components are tiny.
         k = kind.size
-        rem = 1.0
-        zeta = []
-        for i in range(k - 1):
-            x = theta[i]
-            if not x < rem:
-                raise DomainError(
-                    "Simplex: prefix sums leave no room for later components")
-            zeta.append(math.log(x) - math.log(rem - x)
-                        + math.log(float(k - 1 - i)))
-            rem -= x
-        return zeta
+        rest = [0.0] * k
+        for i in range(k - 2, -1, -1):
+            rest[i] = rest[i + 1] + theta[i + 1]
+        return [math.log(theta[i]) - math.log(rest[i])
+                + math.log(float(k - 1 - i)) for i in range(k - 1)]
     if isinstance(kind, Ordered):
         zeta = [float(theta[0])]
         for lo, hi in zip(theta, theta[1:]):

@@ -209,6 +209,28 @@ def test_simplex_round_trip_property(zeta):
     assert np.allclose(back, zeta, atol=1e-8)
 
 
+def test_simplex_saturated_stick_stays_inside():
+    # the remaining stick used to round to 0 here, and log(0) raised
+    kind = tr.Simplex(4)
+    theta, log_det = tr.constrain(kind, [40.0, 0.0, 0.0])
+    assert math.isfinite(log_det)
+    tr.check_value(kind, theta)
+    g = ad.Graph()
+    leaves = [g.leaf(z) for z in (40.0, 0.0, 0.0)]
+    _, log_det = tr.constrain(kind, leaves)
+    assert all(math.isfinite(v) for v in ad.gradient(log_det, leaves))
+
+
+@pytest.mark.parametrize("k", [3, 4, 10])
+def test_simplex_inside_support_for_wide_draws(k):
+    kind = tr.Simplex(k)
+    rng = np.random.default_rng(k)
+    for _ in range(500):
+        theta, log_det = tr.constrain(kind, list(rng.uniform(-40, 40, k - 1)))
+        assert math.isfinite(log_det)
+        tr.check_value(kind, theta)
+
+
 class TestBlockSpec:
     def test_scalar_layout(self):
         b = tr.BlockSpec("lam", tr.LowerBound(0.0), scalar=True)
