@@ -4,8 +4,9 @@ Constrained latent variables are mapped to unconstrained coordinates by a
 transform library (with Jacobian corrections), a factorized Gaussian is fit
 by stochastic gradient ascent on Monte Carlo objective estimates, and
 fitted posteriors are sampled back in the constrained space and scored on
-held-out data. Gradients come from a scalar reverse-mode tape, so any model
-written with the bundled densities is differentiable end to end.
+held-out data. Gradients come from a reverse-mode tape whose nodes are
+array operations, so any model written as an array expression with the
+bundled densities is differentiable end to end.
 """
 
 from . import autodiff, densities, transforms

@@ -1,231 +1,140 @@
-"""Scalar reverse-mode automatic differentiation on an append-only tape.
+"""Reverse-mode automatic differentiation on an append-only tape of arrays.
 
-A :class:`Graph` records one node per scalar operation. Nodes are stored in
-topological order (every operand index is strictly smaller than the node's
-own index), so a single reverse sweep propagates adjoints. Graphs are cheap
-to build and are rebuilt for every evaluation; nothing is retained or reused
-between evaluations.
+A :class:`Graph` records one node per array operation. A node's value is a
+numpy array (a float is a 0-d value), so an operation over N observations
+is one node, not N. Nodes are stored in topological order (every operand
+index is strictly smaller than the node's own index), so a single reverse
+sweep propagates adjoints. Graphs are cheap to build and are rebuilt for
+every evaluation; nothing is retained or reused between evaluations.
 
-The primitive set is deliberately small: add, sub, mul, div, neg, log, exp,
-sqrt, pow, logistic, log_gamma, plus the n-ary reductions log_sum_exp and
-dot. Each primitive is defined once: the arithmetic ones as :class:`Var`
-operators, the rest as module functions (:func:`exp`, :func:`log`,
-:func:`dot`, ...). A primitive accepts plain floats or :class:`Var`
-operands, so the same model code can run tape-free when no gradient is
-needed; on a Var it appends one node through ``Graph._push``, and its
-partial derivatives live in the matching branch of :meth:`Graph.adjoints`.
+Primitives broadcast as numpy does: arithmetic (the :class:`Var`
+operators), the elementwise :func:`exp`, :func:`log`, :func:`sqrt`,
+:func:`logistic`, :func:`softplus`, :func:`log_gamma` and :func:`power`,
+the reductions :func:`sum` and :func:`log_sum_exp` over an axis, indexing
+(``x[key]``, integer-array lookups included), :func:`cumsum`,
+:func:`concat`, :func:`stack` and ``Var.reshape``; :func:`dot` contracts
+the last axis. An operand that is not a Var is a constant: it is captured
+inside the node that uses it and never becomes a node of its own.
+
+Each primitive is defined once. Given no Var operand it computes the value
+with numpy and records nothing, which is the tape-free path of objective
+estimates and held-out scoring. Given Vars it appends one node through
+``Graph._push``, with a function that maps the node's adjoint to those of
+its Var operands, summed over the axes broadcasting added.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
     "Graph",
     "Var",
-    "Scalar",
     "gradient",
+    "value",
+    "as_array",
     "exp",
     "log",
     "sqrt",
     "logistic",
+    "softplus",
     "log_gamma",
     "power",
+    "node",
+    "sum",
     "log_sum_exp",
+    "cumsum",
+    "concat",
+    "stack",
     "dot",
 ]
 
-# Node kinds. args holds operand indices: () for LEAF, (x,) unary,
-# (x, y) binary, n-ary tuple for LSE, flat (x1..xn, y1..yn) for DOT.
-LEAF = 0
-ADD = 1
-SUB = 2
-MUL = 3
-DIV = 4
-NEG = 5
-LOG = 6
-EXP = 7
-SQRT = 8
-POW = 9
-LOGISTIC = 10
-LGAMMA = 11
-LSE = 12
-DOT = 13
-
-_INF = math.inf
-
-
-def _fexp(x: float) -> float:
-    # IEEE semantics: overflow saturates to +inf instead of raising, so a
-    # single wild Monte Carlo draw degrades to a non-finite value the engine
-    # can detect rather than an exception that aborts the evaluation.
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return _INF
-
-
-def _flgamma(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"log_gamma: argument must be > 0, got {x}")
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        return _INF
-
-
-def _fpow(x: float, y: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"pow: base must be > 0, got {x}")
-    try:
-        return x ** y
-    except OverflowError:
-        return _INF
-
-
-def _flogistic(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + _fexp(-x))
-    t = _fexp(x)
-    return t / (1.0 + t)
-
-
-def _flse(values) -> float:
-    m = max(values)
-    if not math.isfinite(m):  # -inf, +inf, or nan dominate the sum
-        return m
-    s = 0.0
-    for v in values:
-        s += _fexp(v - m)
-    return m + math.log(s)
+LEAF = "leaf"
 
 
 class Graph:
-    """Append-only record of scalar operations (the tape).
+    """Append-only record of array operations (the tape).
 
     A graph is single-owner: it is mutated only by the code building it and
     is never shared mid-build. Parallel evaluation means one graph per
     worker, not a shared one. Nodes other than leaves are appended by the
-    primitives (the module functions and :class:`Var`'s operators).
+    primitives. Node ``i`` holds its op name ``ops[i]``, operand node
+    indices ``args[i]``, value ``vals[i]`` and ``vjps[i]``, which maps the
+    node's adjoint to one adjoint per operand in ``args[i]``.
     """
 
-    __slots__ = ("ops", "args", "vals", "_ap_op", "_ap_arg", "_ap_val")
+    __slots__ = ("ops", "args", "vals", "vjps", "_appends")
 
     def __init__(self):
-        self.ops: list[int] = []
+        self.ops: list[str] = []
         self.args: list[tuple] = []
-        self.vals: list[float] = []
+        self.vals: list = []
+        self.vjps: list = []
         # bound appends: graph building is the hot path of every gradient
-        self._ap_op = self.ops.append
-        self._ap_arg = self.args.append
-        self._ap_val = self.vals.append
+        self._appends = (self.ops.append, self.args.append,
+                         self.vals.append, self.vjps.append)
 
     def __len__(self) -> int:
         return len(self.vals)
 
-    def _push(self, op: int, arg: tuple, val: float) -> "Var":
+    def elements(self) -> int:
+        """Array elements held by the nodes, the size of the work a build
+        and a sweep do (a node count no longer is)."""
+        total = 0
+        for v in self.vals:
+            total += getattr(v, "size", 1)
+        return total
+
+    def _push(self, op: str, args: tuple, val, vjp) -> "Var":
         i = len(self.vals)
-        self._ap_op(op)
-        self._ap_arg(arg)
-        self._ap_val(val)
+        add_op, add_args, add_val, add_vjp = self._appends
+        add_op(op)
+        add_args(args)
+        add_val(val)
+        add_vjp(vjp)
         return Var(self, i, val)
 
-    def leaf(self, value: float) -> "Var":
-        """Append a leaf node holding ``value`` (must be finite)."""
-        value = float(value)
-        if not math.isfinite(value):
+    def leaf(self, value) -> "Var":
+        """Append a leaf node holding ``value``, a finite float or array."""
+        value = np.array(value, dtype=float)
+        if not np.isfinite(value).all():
             raise DomainError(f"leaf value must be finite, got {value!r}")
-        i = len(self.vals)
-        self._ap_op(LEAF)
-        self._ap_arg(())
-        self._ap_val(value)
-        return Var(self, i, value)
-
-    def _lift(self, x) -> "Var":
-        if type(x) is Var:
-            if x.graph is not self:
-                raise ValueError("operands belong to different graphs")
-            return x
-        return self.leaf(x)
+        return self._push(LEAF, (), float(value) if value.ndim == 0 else value,
+                          None)
 
     # -- reverse sweep --------------------------------------------------
 
-    def adjoints(self, output: "Var") -> list[float]:
-        """Adjoint of every node w.r.t. ``output`` (zeros past it)."""
+    def adjoints(self, output: "Var") -> list:
+        """Adjoint of every node w.r.t. ``output``; None for a node the
+        output does not depend on."""
         if output.graph is not self:
             raise ValueError("output does not belong to this graph")
-        ops, args, vals = self.ops, self.args, self.vals
-        adj = [0.0] * len(vals)
-        adj[output.i] = 1.0
+        args, vjps = self.args, self.vjps
+        adj: list = [None] * len(self.vals)
+        adj[output.i] = np.ones(output.shape) if output.shape else 1.0
         for i in range(output.i, -1, -1):
             a = adj[i]
-            if a == 0.0:
+            if a is None or vjps[i] is None:
                 continue
-            op = ops[i]
-            if op == LEAF:
-                continue
-            ar = args[i]
-            if op == MUL:
-                x, y = ar
-                adj[x] += a * vals[y]
-                adj[y] += a * vals[x]
-            elif op == ADD:
-                adj[ar[0]] += a
-                adj[ar[1]] += a
-            elif op == SUB:
-                adj[ar[0]] += a
-                adj[ar[1]] -= a
-            elif op == DIV:
-                x, y = ar
-                vy = vals[y]
-                adj[x] += a / vy
-                adj[y] -= a * vals[i] / vy
-            elif op == NEG:
-                adj[ar[0]] -= a
-            elif op == EXP:
-                adj[ar[0]] += a * vals[i]
-            elif op == LOG:
-                adj[ar[0]] += a / vals[ar[0]]
-            elif op == DOT:
-                n = len(ar) // 2
-                for j in range(n):
-                    adj[ar[j]] += a * vals[ar[n + j]]
-                    adj[ar[n + j]] += a * vals[ar[j]]
-            elif op == LSE:
-                out = vals[i]
-                if math.isfinite(out):
-                    for j in ar:
-                        adj[j] += a * _fexp(vals[j] - out)
-            elif op == LOGISTIC:
-                s = vals[i]
-                adj[ar[0]] += a * s * (1.0 - s)
-            elif op == SQRT:
-                v = vals[i]
-                adj[ar[0]] += a * 0.5 / v if v != 0.0 else math.copysign(_INF, a)
-            elif op == LGAMMA:
-                # imported here: zoo models apply log_gamma only to float
-                # hyperparameters, so a batch job never loads scipy
-                from scipy.special import digamma
-                adj[ar[0]] += a * float(digamma(vals[ar[0]]))
-            elif op == POW:
-                x, y = ar
-                vx, vy = vals[x], vals[y]
-                adj[x] += a * vy * vals[i] / vx
-                adj[y] += a * vals[i] * math.log(vx)
-            else:  # pragma: no cover
-                raise AssertionError(f"unknown op code {op}")
+            for j, d in zip(args[i], vjps[i](a)):
+                prev = adj[j]
+                adj[j] = d if prev is None else prev + d
         return adj
 
 
 class Var:
-    """A scalar value bound to a node of a :class:`Graph`."""
+    """A value (float or array) bound to a node of a :class:`Graph`."""
 
     __slots__ = ("graph", "i", "val")
+    # numpy defers to Var's reflected operators: array + Var is Var.__radd__
+    __array_ufunc__ = None
 
-    def __init__(self, graph: Graph, i: int, val: float):
+    def __init__(self, graph: Graph, i: int, val):
         self.graph = graph
         self.i = i
         self.val = val
@@ -233,158 +142,349 @@ class Var:
     def __repr__(self):
         return f"Var(node={self.i}, val={self.val!r})"
 
-    # Arithmetic primitives; a plain-number operand is lifted to a leaf node
-    # first, so it gets a node index below the result's.
+    @property
+    def shape(self) -> tuple:
+        return getattr(self.val, "shape", ())  # a Python float has none
+
+
+    def __getitem__(self, key):
+        x = self.val
+        # an integer-array index may repeat an element; a basic one cannot
+        fancy = any(isinstance(k, (np.ndarray, list))
+                    for k in (key if type(key) is tuple else (key,)))
+
+        def vjp(g):
+            out = np.zeros(x.shape)
+            if fancy:
+                np.add.at(out, key, g)  # repeated indices add up
+            else:
+                out[key] = g
+            return (out,)
+
+        return self.graph._push("index", (self.i,), x[key], vjp)
+
+    def reshape(self, *new_shape):
+        if len(new_shape) == 1:
+            new_shape = new_shape[0]
+        src = self.shape
+        return self.graph._push("reshape", (self.i,),
+                                self.val.reshape(new_shape),
+                                lambda g: (np.asarray(g).reshape(src),))
+
     def __add__(self, other):
-        g = self.graph
-        if type(other) is not Var:
-            other = g.leaf(other)
-        return g._push(ADD, (self.i, other.i), self.val + other.val)
+        return _add(self, other)
 
     def __radd__(self, other):
-        g = self.graph
-        a = g.leaf(other)
-        return g._push(ADD, (a.i, self.i), a.val + self.val)
+        return _add(other, self)
 
     def __sub__(self, other):
-        g = self.graph
-        if type(other) is not Var:
-            other = g.leaf(other)
-        return g._push(SUB, (self.i, other.i), self.val - other.val)
+        return _sub(self, other)
 
     def __rsub__(self, other):
-        g = self.graph
-        a = g.leaf(other)
-        return g._push(SUB, (a.i, self.i), a.val - self.val)
+        return _sub(other, self)
 
     def __mul__(self, other):
-        g = self.graph
-        if type(other) is not Var:
-            other = g.leaf(other)
-        return g._push(MUL, (self.i, other.i), self.val * other.val)
+        return _mul(self, other)
 
     def __rmul__(self, other):
-        g = self.graph
-        a = g.leaf(other)
-        return g._push(MUL, (a.i, self.i), a.val * self.val)
+        return _mul(other, self)
 
     def __truediv__(self, other):
-        g = self.graph
-        if type(other) is not Var:
-            other = g.leaf(other)
-        if other.val == 0.0:
-            raise DomainError("div: divisor is 0")
-        return g._push(DIV, (self.i, other.i), self.val / other.val)
+        return _div(self, other)
 
     def __rtruediv__(self, other):
-        g = self.graph
-        a = g.leaf(other)
-        if self.val == 0.0:
-            raise DomainError("div: divisor is 0")
-        return g._push(DIV, (a.i, self.i), a.val / self.val)
-
-    def __neg__(self):
-        return self.graph._push(NEG, (self.i,), -self.val)
+        return _div(other, self)
 
     def __pow__(self, other):
         return power(self, other)
 
+    def __rpow__(self, other):
+        return power(other, self)
 
-Scalar = Union[float, Var]
+    def __neg__(self):
+        return self.graph._push("neg", (self.i,), -self.val, lambda g: (-g,))
 
 
-def gradient(output: Var, wrt: Sequence[Var]) -> list[float]:
-    """Derivatives of ``output`` w.r.t. the given variables (one sweep)."""
+def value(x):
+    """The numeric value of a Var, or ``x`` itself."""
+    return x.val if type(x) is Var else x
+
+
+def as_array(x):
+    """A Var as it is; a sequence holding Vars stacked into one Var (for
+    scalar leaves, say); anything else as a float array."""
+    if type(x) is Var:
+        return x
+    if isinstance(x, (list, tuple)) and any(type(v) is Var for v in x):
+        return stack(x)
+    return np.asarray(x, dtype=float)
+
+
+def gradient(output: Var, wrt: Sequence[Var]) -> list:
+    """Derivatives of ``output`` w.r.t. the given leaves (one sweep): a
+    float per scalar leaf, an array per array leaf."""
     adj = output.graph.adjoints(output)
-    return [adj[v.i] for v in wrt]
+    out = []
+    for v in wrt:
+        a = adj[v.i]
+        if np.ndim(v.val) == 0:
+            out.append(0.0 if a is None else float(a))
+        else:
+            out.append(np.zeros(np.shape(v.val)) if a is None
+                       else np.array(a, dtype=float))
+    return out
 
 
-# -- primitives: one definition each, on floats and on Vars ------------------
+# -- broadcasting arithmetic ------------------------------------------------
+
+def _shape(v) -> tuple:
+    return getattr(v, "shape", ())
+
+
+def _any(cond) -> bool:
+    """Whether any element of a comparison result holds."""
+    return bool(cond.any()) if type(cond) is np.ndarray else bool(cond)
+
+
+def _unbroadcast(g, like):
+    """Sum adjoint ``g`` over the axes that broadcasting added to the
+    shape of operand value ``like``."""
+    target = _shape(like)
+    have = _shape(g)
+    if have == target:
+        return g
+    extra = len(have) - len(target)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(k for k, n in enumerate(target)
+                 if n == 1 and g.shape[k] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def node(op: str, operands: Sequence, out, partials: Sequence):
+    """``out``, the value of ``op(*operands)``, recorded as one node when
+    an operand is a Var (and returned as it is otherwise).
+
+    ``partials[k](g)`` maps the node's adjoint ``g`` to the adjoint of
+    operand k in the broadcast shape of ``out``. The sweep calls it for Var
+    operands only and sums the result back to the operand's shape; other
+    operands are constants captured by the partials, never nodes. This is
+    how a density over a whole array becomes one node with closed-form
+    partials.
+    """
+    graph = None
+    parents = []
+    rules = []
+    for x, partial in zip(operands, partials):
+        if type(x) is Var:
+            if graph is None:
+                graph = x.graph
+            elif x.graph is not graph:
+                raise ValueError("operands belong to different graphs")
+            parents.append(x.i)
+            rules.append((partial, x.val))
+    if graph is None:
+        return out
+    return graph._push(op, tuple(parents), out,
+                       lambda g: [_unbroadcast(d(g), v) for d, v in rules])
+
+
+def _add(x, y):
+    return node("add", (x, y), value(x) + value(y), (_same, _same))
+
+
+def _sub(x, y):
+    return node("sub", (x, y), value(x) - value(y), (_same, np.negative))
+
+
+def _mul(x, y):
+    vx, vy = value(x), value(y)
+    return node("mul", (x, y), vx * vy, (lambda g: g * vy, lambda g: g * vx))
+
+
+def _div(x, y):
+    vx, vy = value(x), value(y)
+    if _any(vy == 0.0):
+        raise DomainError("div: divisor is 0")
+    out = vx / vy
+    return node("div", (x, y), out, (lambda g: g / vy,
+                                     lambda g: -g * out / vy))
+
+
+def _same(g):
+    return g
+
+
+def power(x, y):
+    vx, vy = value(x), value(y)
+    if _any(vx <= 0.0):
+        raise DomainError(f"pow: base must be > 0, got {np.min(vx)}")
+    out = np.power(vx, vy)
+    return node("pow", (x, y), out, (lambda g: g * vy * out / vx,
+                                     lambda g: g * out * np.log(vx)))
+
+
+# -- elementwise functions ----------------------------------------------------
 #
 # A unary primitive tests ``type(x) is Var`` once: a Var operand appends a
-# node to its graph, a float is computed directly (the tape-free path of
-# objective estimates and held-out scoring, where one more test per call
-# shows in the run time).
+# node to its graph, anything else is computed directly.
 
-def exp(x: Scalar) -> Scalar:
-    if type(x) is Var:
-        return x.graph._push(EXP, (x.i,), _fexp(x.val))
-    return _fexp(x)
+def _unary(op, x, out, partial):
+    return x.graph._push(op, (x.i,), out, lambda g: (partial(g),))
 
 
-def log(x: Scalar) -> Scalar:
-    if type(x) is Var:
-        v = x.val
-        if v <= 0.0:
-            raise DomainError(f"log: argument must be > 0, got {v}")
-        return x.graph._push(LOG, (x.i,), math.log(v))
-    if x <= 0.0:
-        raise DomainError(f"log: argument must be > 0, got {x}")
-    return math.log(x)
+def exp(x):
+    if type(x) is not Var:
+        return np.exp(x)
+    out = np.exp(x.val)
+    return _unary("exp", x, out, lambda g: g * out)
 
 
-def sqrt(x: Scalar) -> Scalar:
-    if type(x) is Var:
-        v = x.val
-        if v < 0.0:
-            raise DomainError(f"sqrt: argument must be >= 0, got {v}")
-        return x.graph._push(SQRT, (x.i,), math.sqrt(v))
-    if x < 0.0:
-        raise DomainError(f"sqrt: argument must be >= 0, got {x}")
-    return math.sqrt(x)
+def _check_positive(op, v):
+    if _any(v <= 0.0):
+        raise DomainError(f"{op}: argument must be > 0, got {np.min(v)}")
 
 
-def logistic(x: Scalar) -> Scalar:
-    if type(x) is Var:
-        return x.graph._push(LOGISTIC, (x.i,), _flogistic(x.val))
-    return _flogistic(x)
+def log(x):
+    v = value(x)
+    _check_positive("log", v)
+    if type(x) is not Var:
+        return np.log(v)
+    return _unary("log", x, np.log(v), lambda g: g / v)
 
 
-def log_gamma(x: Scalar) -> Scalar:
-    if type(x) is Var:
-        return x.graph._push(LGAMMA, (x.i,), _flgamma(x.val))
-    return _flgamma(x)
+def sqrt(x):
+    v = value(x)
+    if _any(v < 0.0):
+        raise DomainError(f"sqrt: argument must be >= 0, got {np.min(v)}")
+    if type(x) is not Var:
+        return np.sqrt(v)
+    out = np.sqrt(v)
+    return _unary("sqrt", x, out, lambda g: 0.5 * g / out)
 
 
-def power(x: Scalar, y: Scalar) -> Scalar:
-    if type(x) is Var:
-        g = x.graph
-    elif type(y) is Var:
-        g = y.graph
-    else:
-        return _fpow(x, y)
-    x, y = g._lift(x), g._lift(y)
-    return g._push(POW, (x.i, y.i), _fpow(x.val, y.val))
+def _logistic(v):
+    # branch-wise so neither side overflows: 1/(1+e^-v) or e^v/(1+e^v)
+    e = np.exp(-np.abs(v))
+    out = np.where(np.greater_equal(v, 0.0), 1.0 / (1.0 + e), e / (1.0 + e))
+    return out[()]
 
 
-def _find_graph(values) -> Graph | None:
-    for v in values:
-        if type(v) is Var:
-            return v.graph
-    return None
+def logistic(x):
+    if type(x) is not Var:
+        return _logistic(x)
+    out = _logistic(x.val)
+    return _unary("logistic", x, out, lambda g: g * out * (1.0 - out))
 
 
-def log_sum_exp(xs: Sequence[Scalar]) -> Scalar:
-    """Overflow-safe log(sum(exp(x_i))) over one or more scalars."""
-    g = _find_graph(xs)
-    if g is None:
-        return _flse(xs)
-    xs = [g._lift(x) for x in xs]
-    return g._push(LSE, tuple(x.i for x in xs), _flse([x.val for x in xs]))
+def softplus(x):
+    """log(1 + exp(x)) without overflow."""
+    if type(x) is not Var:
+        return np.logaddexp(0.0, x)
+    v = x.val
+    return _unary("softplus", x, np.logaddexp(0.0, v),
+                  lambda g: g * _logistic(v))
 
 
-def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
-    """Inner product of two equal-length scalar sequences as one node."""
-    if len(xs) != len(ys) or not len(xs):
-        raise ValueError("dot needs two equal-length nonempty lists")
-    g = _find_graph(xs) or _find_graph(ys)
-    s = 0.0
-    if g is None:
-        for x, y in zip(xs, ys):
-            s += x * y
-        return s
-    xs = [g._lift(x) for x in xs]
-    ys = [g._lift(y) for y in ys]
-    for x, y in zip(xs, ys):
-        s += x.val * y.val
-    return g._push(DOT, tuple(x.i for x in xs) + tuple(y.i for y in ys), s)
+def _lgamma1(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except OverflowError:
+        return math.inf
+
+
+def _lgamma(v):
+    # math.lgamma per element: data and hyperparameter constants take this
+    # path too, and it keeps scipy out of the import
+    _check_positive("log_gamma", v)
+    if not _shape(v):
+        return _lgamma1(float(v))
+    return np.array([_lgamma1(t) for t in v.ravel().tolist()]).reshape(v.shape)
+
+
+def log_gamma(x):
+    if type(x) is not Var:
+        return _lgamma(x)
+    v = x.val
+
+    def partial(g):
+        # imported here: zoo models apply log_gamma only to constants, so
+        # a batch job never loads scipy
+        from scipy.special import digamma
+        return g * digamma(v)
+
+    return _unary("log_gamma", x, _lgamma(v), partial)
+
+
+# -- reductions and structure -------------------------------------------------
+
+def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
+    """Sum over ``axis`` (all axes when None)."""
+    if type(x) is not Var:
+        return np.sum(x, axis=axis)
+    src = x.shape
+
+    def vjp(g):
+        if axis is None:
+            return (np.full(src, g),)
+        return (np.broadcast_to(np.expand_dims(g, axis), src),)
+
+    return x.graph._push("sum", (x.i,), np.sum(x.val, axis=axis), vjp)
+
+
+def _lse(v, axis):
+    top = np.max(v, axis=axis, keepdims=True)
+    # a non-finite maximum (-inf, +inf or nan) dominates the sum: shifting
+    # by 0 instead keeps it as the result
+    top = np.where(np.isfinite(top), top, 0.0)
+    out = np.log(np.sum(np.exp(v - top), axis=axis, keepdims=True)) + top
+    return np.squeeze(out, axis=axis)[()]
+
+
+def log_sum_exp(x, axis=-1):
+    """Overflow-safe log(sum(exp(x))) over ``axis``; ``x`` may also be a
+    sequence of scalars and Vars."""
+    x = as_array(x)
+    if type(x) is not Var:
+        return _lse(x, axis)
+    v = x.val
+    out = _lse(v, axis)
+
+    def vjp(g):
+        o = np.expand_dims(out, axis)
+        w = np.where(np.isfinite(o), np.exp(v - o), 0.0)
+        return (np.expand_dims(g, axis) * w,)
+
+    return x.graph._push("log_sum_exp", (x.i,), out, vjp)
+
+
+def cumsum(x, axis=-1):
+    if type(x) is not Var:
+        return np.cumsum(x, axis=axis)
+
+    def vjp(g):
+        return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
+
+    return x.graph._push("cumsum", (x.i,), np.cumsum(x.val, axis=axis), vjp)
+
+
+def concat(xs: Sequence, axis=-1):
+    """Join arrays and Vars along an existing axis."""
+    vals = [value(x) for x in xs]
+    cuts = np.cumsum([v.shape[axis] for v in vals])[:-1]
+    return node("concat", xs, np.concatenate(vals, axis=axis),
+                [lambda g, k=k: np.split(g, cuts, axis=axis)[k]
+                 for k in range(len(xs))])
+
+
+def stack(xs: Sequence):
+    """Stack equal-shape values along a new leading axis."""
+    return node("stack", xs, np.stack([value(x) for x in xs]),
+                [lambda g, k=k: g[k] for k in range(len(xs))])
+
+
+def dot(xs, ys):
+    """Inner product over the last axis (broadcast over leading axes)."""
+    return sum(as_array(xs) * as_array(ys), axis=-1)

@@ -132,6 +132,8 @@ def main(argv=None) -> int:
     details = {
         "iterations_run": trace.rows[-1][0] if trace.rows else 0,
         "omega_clamp_events": trace.clamp_events,
+        "elbo_draws_dropped": trace.elbo_draws_dropped,
+        "gradient_redraws": trace.gradient_redraws,
         "posterior_draws": args.draws,
         "unconstrained_dim": model.dim,
     }

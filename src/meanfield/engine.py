@@ -13,9 +13,12 @@ samples could be evaluated in parallel without changing results, and reruns
 with one seed are bit-identical.
 
 The trace's elapsed_ms column is a deterministic work clock: cumulative
-tape nodes evaluated by gradient estimation, at a nominal 1000 nodes per
-millisecond. Real wall-clock duration is reported separately (and recorded
-in run manifests) so output files stay byte-reproducible.
+array elements produced by the gradient tapes (the sizes of every tape
+node's value), at a nominal 1000 elements per millisecond. A tape node is
+one array operation, so a node count no longer measures compute; the
+elements do, and they depend only on the model, the data sizes and the
+draws. Real wall-clock duration is reported separately (and recorded in run
+manifests) so output files stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ STREAM_BATCH = 3
 STREAM_DRAW = 4
 
 _OMEGA_BOUND = 20.0
-_NODES_PER_MS = 1000.0  # nominal rate of the deterministic work clock
+_ELEMENTS_PER_MS = 1000.0  # nominal rate of the deterministic work clock
 _MAX_REDRAWS = 10
 
 
@@ -159,10 +162,16 @@ class OptState:
 
 @dataclass
 class ElboTrace:
-    """Objective estimates recorded during optimization."""
+    """Objective estimates recorded during optimization, plus counts of the
+    Monte Carlo draws whose evaluation failed: ELBO draws dropped from an
+    estimate and gradient draws redrawn. Both condition the estimates on
+    the region where the joint is finite, so they are reported, not
+    hidden."""
 
     rows: list[tuple[int, float, float]] = field(default_factory=list)
     clamp_events: int = 0
+    elbo_draws_dropped: int = 0
+    gradient_redraws: int = 0
     wall_time_s: float = 0.0
 
     def append(self, iteration: int, elapsed_ms: float, elbo: float):
@@ -215,53 +224,65 @@ def _entropy(params: VariationalParams) -> float:
         float(np.sum(params.omega))
 
 
+def _elbo_and_drops(model, data, params, n_samples, rng):
+    """:func:`estimate_elbo` and the number of draws it dropped."""
+    if n_samples < 1:
+        raise ConfigurationError("n_samples must be >= 1")
+    gen = _as_generator(rng)
+    values = []
+    # a wild draw may overflow: it is dropped, not reported as a warning
+    with np.errstate(all="ignore"):
+        for _ in range(n_samples):
+            zeta = inverse_standardize(params,
+                                       gen.standard_normal(params.dim))
+            try:
+                v = log_joint_unconstrained(model, data, zeta)
+            except DomainError:
+                continue
+            if math.isfinite(v):
+                values.append(v)
+    if not values:
+        raise EvaluationFailure(
+            f"all {n_samples} objective samples were non-finite")
+    estimate = math.fsum(values) / len(values) + _entropy(params)
+    return estimate, n_samples - len(values)
+
+
 def estimate_elbo(model: ModelDefinition, data: Dataset,
                   params: VariationalParams, n_samples: int, rng) -> float:
     """Monte Carlo objective estimate (tape-free model evaluations).
 
     Averages the transformed log joint over draws from the current
-    approximation and adds the Gaussian entropy in closed form. Draws whose
-    evaluation is non-finite or out of domain are dropped; if every draw
-    fails, raises :class:`EvaluationFailure`.
+    approximation and adds the Gaussian entropy in closed form. Draws are
+    evaluated one at a time, each as one array expression over the data.
+    Draws whose evaluation is non-finite or out of domain are dropped (fit
+    counts them in ``ElboTrace.elbo_draws_dropped``); if every draw fails,
+    raises :class:`EvaluationFailure`.
     """
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
-    gen = _as_generator(rng)
-    values = []
-    for _ in range(n_samples):
-        zeta = inverse_standardize(params, gen.standard_normal(params.dim))
-        try:
-            v = log_joint_unconstrained(model, data, zeta)
-        except DomainError:
-            continue
-        if math.isfinite(v):
-            values.append(v)
-    if not values:
-        raise EvaluationFailure(
-            f"all {n_samples} objective samples were non-finite")
-    return math.fsum(values) / len(values) + _entropy(params)
+    return _elbo_and_drops(model, data, params, n_samples, rng)[0]
 
 
 def _gradient_sample(model, data, zeta, batch):
-    """One tape evaluation; returns (grad wrt zeta, node count) or None
-    when the joint is non-finite or out of domain."""
+    """One tape evaluation: (gradient w.r.t. zeta, or None when the joint
+    is non-finite or out of domain; array elements the tape produced)."""
     g = ad.Graph()
-    zv = [g.leaf(float(z)) for z in zeta]
+    z = g.leaf(zeta)
     try:
         if batch is None:
-            out = log_joint_unconstrained(model, data, zv)
+            out = log_joint_unconstrained(model, data, z)
         else:
-            out = minibatch_log_joint(model, data, batch, zv)
+            out = minibatch_log_joint(model, data, batch, z)
     except DomainError:
-        return None
+        return None, g.elements()
     if not math.isfinite(out.val):
-        return None
-    adj = g.adjoints(out)
-    return np.array([adj[v.i] for v in zv]), len(g)
+        return None, g.elements()
+    grad = g.adjoints(out)[z.i]
+    return (np.zeros(len(zeta)) if grad is None else grad), g.elements()
 
 
 def _counted_gradients(model, data, params, m, rng, batch):
-    """Gradient estimate plus the tape-node count that produced it."""
+    """Gradient estimate plus the tape elements that produced it and the
+    number of draws redrawn."""
     if m < 1:
         raise ConfigurationError("m must be >= 1")
     if not isinstance(rng, np.random.SeedSequence):
@@ -274,28 +295,31 @@ def _counted_gradients(model, data, params, m, rng, batch):
     sigma = np.exp(params.omega)
     g_mu = np.zeros(params.dim)
     g_omega = np.zeros(params.dim)
-    nodes = 0
-    for child in children:
-        gen = np.random.default_rng(child)
-        result = None
-        for _ in range(1 + _MAX_REDRAWS):
-            eta = gen.standard_normal(params.dim)
-            zeta = inverse_standardize(params, eta)
-            result = _gradient_sample(model, data, zeta, batch)
-            if result is not None:
-                break
-        if result is None:
-            raise EvaluationFailure(
-                f"gradient sample stayed non-finite after {_MAX_REDRAWS} "
-                "redraws")
-        d_zeta, n = result
-        nodes += n
-        g_mu += d_zeta
-        g_omega += d_zeta * eta * sigma
+    elements = 0
+    redraws = 0
+    # a wild draw may overflow: it is redrawn, not reported as a warning
+    with np.errstate(all="ignore"):
+        for child in children:
+            gen = np.random.Generator(np.random.PCG64(child))
+            for attempt in range(1 + _MAX_REDRAWS):
+                eta = gen.standard_normal(params.dim)
+                # inverse_standardize, with exp(omega) computed once
+                zeta = sigma * eta + params.mu
+                d_zeta, n = _gradient_sample(model, data, zeta, batch)
+                elements += n
+                if d_zeta is not None:
+                    break
+            else:
+                raise EvaluationFailure(
+                    f"gradient sample stayed non-finite after "
+                    f"{_MAX_REDRAWS} redraws")
+            redraws += attempt
+            g_mu += d_zeta
+            g_omega += d_zeta * eta * sigma
     g_mu /= m
     g_omega /= m
     g_omega += 1.0
-    return g_mu, g_omega, nodes
+    return g_mu, g_omega, elements, redraws
 
 
 def estimate_gradients(model: ModelDefinition, data: Dataset,
@@ -310,9 +334,11 @@ def estimate_gradients(model: ModelDefinition, data: Dataset,
     seed or a SeedSequence; each of the ``m`` samples uses its own child
     substream, so samples could be evaluated in parallel without changing
     the result. A draw whose evaluation is non-finite is redrawn up to 10
-    times before the whole estimate fails.
+    times before the whole estimate fails (fit counts the redraws in
+    ``ElboTrace.gradient_redraws``).
     """
-    g_mu, g_omega, _ = _counted_gradients(model, data, params, m, rng, batch)
+    g_mu, g_omega, _, _ = _counted_gradients(model, data, params, m, rng,
+                                             batch)
     return g_mu, g_omega
 
 
@@ -360,7 +386,7 @@ def fit(model: ModelDefinition, data: Dataset,
     trace = ElboTrace()
     opt_mu = OptState(model.dim, config.window)
     opt_omega = OptState(model.dim, config.window)
-    work_nodes = 0
+    work_elements = 0
     last_elbo = None
     wall_start = time.perf_counter()
     for i in range(config.max_iterations):
@@ -368,9 +394,9 @@ def fit(model: ModelDefinition, data: Dataset,
         if config.minibatch is not None:
             gen = substream(config.seed, STREAM_BATCH, i)
             chosen = gen.choice(n_obs, size=config.minibatch, replace=False)
-            batch = [int(v) for v in np.sort(chosen)]
+            batch = np.sort(chosen)
         try:
-            g_mu, g_omega, nodes = _counted_gradients(
+            g_mu, g_omega, elements, redraws = _counted_gradients(
                 model, data, params, config.grad_samples,
                 np.random.SeedSequence(config.seed,
                                        spawn_key=(STREAM_GRAD, i)),
@@ -379,7 +405,8 @@ def fit(model: ModelDefinition, data: Dataset,
             raise EvaluationFailure(
                 f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
                 f"omega={params.omega.tolist()}") from exc
-        work_nodes += nodes
+        work_elements += elements
+        trace.gradient_redraws += redraws
         rho_mu = adagrad_step(opt_mu, g_mu, config)
         rho_omega = adagrad_step(opt_omega, g_omega, config)
         mu = params.mu + rho_mu * g_mu
@@ -389,14 +416,15 @@ def fit(model: ModelDefinition, data: Dataset,
         params = VariationalParams(mu, clipped)
         if (i + 1) % config.eval_interval == 0:
             try:
-                elbo = estimate_elbo(model, data, params,
-                                     config.elbo_samples,
-                                     substream(config.seed, STREAM_ELBO, i))
+                elbo, dropped = _elbo_and_drops(
+                    model, data, params, config.elbo_samples,
+                    substream(config.seed, STREAM_ELBO, i))
             except EvaluationFailure as exc:
                 raise EvaluationFailure(
                     f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
                     f"omega={params.omega.tolist()}") from exc
-            trace.append(i + 1, work_nodes / _NODES_PER_MS, elbo)
+            trace.elbo_draws_dropped += dropped
+            trace.append(i + 1, work_elements / _ELEMENTS_PER_MS, elbo)
             if last_elbo is not None:
                 rel = abs(elbo - last_elbo) / max(abs(last_elbo), 1e-12)
                 if rel < config.threshold:
@@ -417,7 +445,8 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
     gen = _as_generator(rng)
     eta = gen.standard_normal((size, params.dim))
     zeta = np.exp(params.omega) * eta + params.mu
-    values = [constrain_blocks(model, z)[0] for z in zeta]
-    out = {b.name: np.array([v[b.name] for v in values])
-           for b in model.blocks}
+    # one array expression over all draws: a row of zeta per draw
+    with np.errstate(all="ignore"):
+        values, _ = constrain_blocks(model, zeta)
+    out = {b.name: np.asarray(values[b.name]) for b in model.blocks}
     return PosteriorDraws(blocks=model.blocks, samples=out, size=size)

@@ -2,21 +2,28 @@
 
 A :class:`ModelDefinition` couples an ordered list of constrained parameter
 blocks with two pure functions: a log prior over the constrained values and
-a per-observation log likelihood term. The packed unconstrained vector of
-length ``model.dim`` is the coordinate system the optimizer works in;
-:func:`log_joint_unconstrained` adds the block Jacobian corrections so the
-result is the log joint density in those coordinates.
+the log likelihood terms of a set of observations. The packed unconstrained
+vector of length ``model.dim`` is the coordinate system the optimizer works
+in; :func:`log_joint_unconstrained` adds the block Jacobian corrections so
+the result is the log joint density in those coordinates.
 
-Evaluators must be deterministic given (dataset, values) and accept either
-floats or tape variables, which is what makes the same model definition
-usable for gradient evaluation, tape-free objective estimates, and held-out
-scoring.
+Evaluators must be deterministic given (dataset, values) and be array
+expressions that accept float arrays or tape values alike, which is what
+makes the same model definition usable for gradient evaluation, tape-free
+objective estimates, and held-out scoring. The likelihood of a whole batch
+is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
+index array (``arange(N)`` for the full data, the batch for a minibatch)
+returns one term per index; with an int ``idx`` it returns that single
+term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError, ShapeError
@@ -36,6 +43,15 @@ class Dataset:
     """Named data entries: scalars, flat lists, or row-major nested lists."""
 
     entries: Mapping[str, Any]
+    _arrays: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def array(self, name: str) -> np.ndarray:
+        """Entry ``name`` as a numpy array, converted once per dataset."""
+        arr = self._arrays.get(name)
+        if arr is None:
+            arr = self._arrays[name] = np.asarray(self[name])
+        return arr
 
     def __getitem__(self, name: str):
         try:
@@ -59,16 +75,18 @@ class ModelDefinition:
     """Parameter blocks plus a differentiable log joint, split into a prior
     part and per-observation likelihood terms.
 
-    ``log_prior(values, data)`` and ``loglik_term(values, data, n)`` receive
-    the constrained block values keyed by block name. ``subsample_ok`` marks
-    models whose likelihood factorizes over the observation index, which is
-    what minibatch scaling requires.
+    ``log_prior(values, data)`` and ``loglik_term(values, data, idx)``
+    receive the constrained block values keyed by block name. ``idx`` is an
+    int or a 1-D integer array of observation indices; the result is the
+    term of that observation, or an array of one term per index.
+    ``subsample_ok`` marks models whose likelihood factorizes over the
+    observation index, which is what minibatch scaling requires.
     """
 
     name: str
     blocks: tuple[BlockSpec, ...]
     log_prior: Callable[[Mapping[str, Any], Dataset], Any]
-    loglik_term: Callable[[Mapping[str, Any], Dataset, int], Any]
+    loglik_term: Callable[[Mapping[str, Any], Dataset, Any], Any]
     num_observations: Callable[[Dataset], int]
     subsample_ok: bool = True
     hyperparams: Mapping[str, float] = field(default_factory=dict)
@@ -79,7 +97,7 @@ class ModelDefinition:
             raise ConfigurationError(
                 f"model {self.name}: duplicate block names in {names}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Total unconstrained dimension (sum over blocks)."""
         return sum(b.unconstrained_size for b in self.blocks)
@@ -91,58 +109,59 @@ class ModelDefinition:
         raise KeyError(name)
 
 
-def constrain_blocks(model: ModelDefinition, zeta: Sequence[ad.Scalar]):
+def constrain_blocks(model: ModelDefinition, zeta):
     """Split a packed unconstrained vector into named constrained values.
 
-    Returns ``(values, log_det)`` where ``log_det`` is the summed Jacobian
-    correction over all blocks.
+    ``zeta`` is a float array, a Var or a sequence of scalars (scalar tape
+    leaves are stacked into one vector), with ``model.dim`` coordinates on
+    its last axis; a leading axis, one row per posterior draw, is carried
+    into every value. Returns ``(values, log_det)`` where ``log_det`` is
+    the summed Jacobian correction over all blocks (and rows).
     """
-    if len(zeta) != model.dim:
+    zeta = ad.as_array(zeta)
+    dims = zeta.shape
+    dim = model.dim
+    if not dims or dims[-1] != dim:
         raise ShapeError(
-            f"model {model.name}: expected {model.dim} unconstrained "
-            f"coordinates, got {len(zeta)}")
-    if len(zeta) and type(zeta[0]) is not ad.Var:
-        zeta = [float(z) for z in zeta]
+            f"model {model.name}: expected {dim} unconstrained "
+            f"coordinates, got {dims[-1] if dims else None}")
     values: dict[str, Any] = {}
-    log_det = 0.0
+    log_det = None
     offset = 0
     for b in model.blocks:
         n = b.unconstrained_size
-        value, ld = b.constrain(zeta[offset:offset + n])
-        values[b.name] = value
-        log_det = log_det + ld
+        part = zeta if n == dim else zeta[..., offset:offset + n]
+        values[b.name], ld = b.constrain(part)
+        log_det = ld if log_det is None else log_det + ld
         offset += n
     return values, log_det
 
 
-def _joint(model, data, zeta, batch, scale):
+def _joint(model, data, zeta, idx, scale):
     values, log_det = constrain_blocks(model, zeta)
-    base = model.log_prior(values, data) + log_det
-    total = None
-    for n in batch:
-        t = model.loglik_term(values, data, n)
-        total = t if total is None else total + t
-    if total is None:
-        return base
-    if scale is not None:
-        total = scale * total
-    return base + total
+    out = model.log_prior(values, data) + log_det
+    if len(idx):
+        lik = ad.sum(model.loglik_term(values, data, idx))
+        if scale is not None:
+            lik = scale * lik
+        out = out + lik
+    return out
 
 
-def log_joint_unconstrained(model: ModelDefinition, data: Dataset,
-                            zeta: Sequence[ad.Scalar]):
+def log_joint_unconstrained(model: ModelDefinition, data: Dataset, zeta):
     """log p(data, theta) + log|det J| at theta = constrain(zeta).
 
-    Pass tape variables to obtain gradients via :func:`autodiff.gradient`;
-    pass floats for a tape-free evaluation. A non-finite result is returned
-    as-is: policy on failed evaluations belongs to the caller.
+    Pass a Var (or a list of scalar leaves) to obtain gradients via
+    :func:`autodiff.gradient`; pass floats for a tape-free evaluation. A
+    non-finite result is returned as-is (numpy may warn of the overflow):
+    policy on failed evaluations belongs to the caller.
     """
     return _joint(model, data, zeta,
-                  range(model.num_observations(data)), None)
+                  np.arange(model.num_observations(data)), None)
 
 
 def minibatch_log_joint(model: ModelDefinition, data: Dataset,
-                        batch: Sequence[int], zeta: Sequence[ad.Scalar]):
+                        batch: Sequence[int], zeta):
     """Subsampled joint: prior + Jacobian + (N/B) * sum of batch terms.
 
     Scaling the batch likelihood by N/B makes the result an unbiased
@@ -153,14 +172,17 @@ def minibatch_log_joint(model: ModelDefinition, data: Dataset,
             f"model {model.name}: likelihood does not factorize over "
             "observations; subsampling is not valid")
     total = model.num_observations(data)
-    if len(batch) == 0:
+    idx = np.asarray(batch)
+    if idx.size == 0:
         raise ConfigurationError("minibatch is empty")
-    if len(batch) > total:
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ConfigurationError(
-            f"minibatch size {len(batch)} exceeds {total} observations")
-    for n in batch:
-        if not 0 <= n < total:
-            raise ConfigurationError(
-                f"minibatch index {n} outside [0, {total})")
-    scale = total / len(batch)
-    return _joint(model, data, zeta, batch, scale)
+            f"minibatch must be a list of indices, got {batch!r}")
+    if len(idx) > total:
+        raise ConfigurationError(
+            f"minibatch size {len(idx)} exceeds {total} observations")
+    outside = idx[(idx < 0) | (idx >= total)]
+    if outside.size:
+        raise ConfigurationError(
+            f"minibatch index {outside[0]} outside [0, {total})")
+    return _joint(model, data, zeta, idx, total / len(idx))

@@ -3,10 +3,11 @@
 Each transform kind maps a constrained vector theta to an unconstrained
 vector zeta and back, and reports log|det J| of the constraining direction
 (unconstrained -> constrained) so densities can be corrected for the change
-of variables. :func:`constrain` runs on plain floats or on tape variables,
-so gradients flow through the transform and its Jacobian term;
-:func:`unconstrain` is float-only (it is used to initialize from or inspect
-constrained values, never differentiated).
+of variables. :func:`constrain` is an array expression over the last axis,
+on float arrays or tape values alike, so gradients flow through the
+transform and its Jacobian term; :func:`unconstrain` is float-only (it is
+used to initialize from or inspect constrained values, never
+differentiated).
 
 Formulas:
 
@@ -15,8 +16,8 @@ Formulas:
 * Interval(a,b):  theta = a + (b-a)*logistic(zeta),
                   log_det = sum(log(b-a) + log s + log(1-s))
 * Simplex(K):     stick-breaking with a log(1/(K-k)) offset so zeta = 0
-                  maps to the uniform simplex; the remaining stick is kept
-                  in log space so no component rounds to 0
+                  maps to the uniform simplex; every component is the exp
+                  of its log, so no component rounds to 0
 * Ordered(K):     theta_1 = zeta_1, theta_k = theta_{k-1} + exp(zeta_k)
 * PositiveOrdered(K): like Ordered but theta_1 = exp(zeta_1)
 * Identity:       theta = zeta, log_det = 0
@@ -26,7 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
+
+import numpy as np
 
 from . import autodiff as ad
 from .errors import DomainError, ShapeError
@@ -130,91 +134,68 @@ def constrained_dim(kind: TransformKind) -> int:
     return kind.dim
 
 
-def _softplus(t):
-    # log(1 + exp(t)), overflow-safe for floats and tape variables alike
-    return ad.log_sum_exp([0.0, t])
-
-
-def _check_len(kind, values, expected):
-    if len(values) != expected:
+def _check_len(kind, got, expected):
+    if got != expected:
         raise ShapeError(
-            f"{type(kind).__name__}: expected length {expected}, "
-            f"got {len(values)}"
-        )
+            f"{type(kind).__name__}: expected length {expected}, got {got}")
 
 
-def constrain(kind: TransformKind, zeta: Sequence[ad.Scalar]):
+def _stick_offsets(k: int) -> np.ndarray:
+    # log(K-1-i) for i = 0..K-2: zeta = 0 maps to the uniform simplex
+    return np.log(np.arange(k - 1, 0, -1, dtype=float))
+
+
+def constrain(kind: TransformKind, zeta):
     """Map unconstrained ``zeta`` into the support of ``kind``.
 
-    Returns ``(theta, log_det)`` where ``theta`` is a list of scalars
-    satisfying the constraint and ``log_det`` is log|det J| of the map
-    evaluated at ``zeta``.
+    ``zeta`` is a float array, a Var or a sequence of scalars, with the
+    kind's unconstrained dimension as its last axis; leading axes (rows of
+    a block, posterior draws) are mapped independently. Returns
+    ``(theta, log_det)``: ``theta`` has the constrained dimension as its
+    last axis and ``log_det`` is log|det J| of the map, summed over every
+    leading index.
     """
-    _check_len(kind, zeta, unconstrained_dim(kind))
+    zeta = ad.as_array(zeta)
+    dims = zeta.shape
+    _check_len(kind, dims[-1] if dims else None, unconstrained_dim(kind))
     if isinstance(kind, Identity):
-        return list(zeta), 0.0
+        return zeta, 0.0
     if isinstance(kind, LowerBound):
-        theta = [kind.bound + ad.exp(z) for z in zeta]
-        return theta, _sum(zeta)
+        return kind.bound + ad.exp(zeta), ad.sum(zeta)
     if isinstance(kind, UpperBound):
-        theta = [kind.bound - ad.exp(z) for z in zeta]
-        return theta, _sum(zeta)
+        return kind.bound - ad.exp(zeta), ad.sum(zeta)
     if isinstance(kind, Interval):
-        a, b = kind.lower, kind.upper
-        width = b - a
-        log_width = math.log(width)
-        theta = []
-        log_det = 0.0
-        for z in zeta:
-            s = ad.logistic(z)
-            theta.append(a + width * s)
-            # log s + log(1-s) == z - 2*softplus(z)
-            log_det = log_det + (log_width + z - 2.0 * _softplus(z))
+        width = kind.upper - kind.lower
+        theta = kind.lower + width * ad.logistic(zeta)
+        # log s + log(1-s) == z - 2*softplus(z)
+        log_det = ad.sum(math.log(width) + zeta - 2.0 * ad.softplus(zeta))
         return theta, log_det
     if isinstance(kind, Simplex):
-        # The remaining stick is carried as its log, since
-        # log(1 - logistic(t)) = -softplus(t): subtracting the broken-off
-        # piece from the stick would round it to 0 once a piece saturates.
-        k = kind.size
-        log_rem = 0.0
-        theta = []
-        log_det = 0.0
-        for i in range(k - 1):
-            t = zeta[i] - math.log(float(k - 1 - i))
-            sp = _softplus(t)
-            theta.append(ad.exp(log_rem) * ad.logistic(t))
-            log_det = log_det + (log_rem + t - 2.0 * sp)
-            log_rem = log_rem - sp
-        theta.append(ad.exp(log_rem))
-        return theta, log_det
+        # With t = zeta - offsets and c the running sum of softplus(t), the
+        # stick left before piece i is exp(-(c_i - softplus(t_i))) and the
+        # piece takes its share logistic(t_i) = exp(t_i - softplus(t_i)):
+        # log theta_i = t_i - c_i, and the last piece is exp(-c_{K-1}). No
+        # piece is the difference of two rounded sticks, so none rounds
+        # to 0 when another saturates.
+        t = zeta - _stick_offsets(kind.size)
+        sp = ad.softplus(t)
+        c = ad.cumsum(sp)
+        log_head = t - c
+        theta = ad.exp(ad.concat([log_head, -c[..., -1:]]))
+        # sum of log(stick) + log s + log(1 - s) over the pieces
+        return theta, ad.sum(log_head - sp)
     if isinstance(kind, Ordered):
-        theta = [zeta[0]]
-        log_det = 0.0
-        for z in zeta[1:]:
-            theta.append(theta[-1] + ad.exp(z))
-            log_det = log_det + z
-        return theta, log_det
+        steps = ad.concat([zeta[..., :1], ad.exp(zeta[..., 1:])])
+        return ad.cumsum(steps), ad.sum(zeta[..., 1:])
     if isinstance(kind, PositiveOrdered):
-        theta = [ad.exp(zeta[0])]
-        log_det = zeta[0]
-        for z in zeta[1:]:
-            theta.append(theta[-1] + ad.exp(z))
-            log_det = log_det + z
-        return theta, log_det
+        return ad.cumsum(ad.exp(zeta)), ad.sum(zeta)
     raise TypeError(f"unknown transform kind {kind!r}")
-
-
-def _sum(values):
-    total = 0.0
-    for v in values:
-        total = total + v
-    return total
 
 
 def check_value(kind: TransformKind, theta: Sequence[float]) -> None:
     """Raise :class:`DomainError` unless ``theta`` lies strictly inside
     the support of ``kind`` (boundaries are rejected)."""
-    _check_len(kind, theta, constrained_dim(kind))
+    _check_len(kind, len(theta), constrained_dim(kind))
     if isinstance(kind, Identity):
         return
     if isinstance(kind, LowerBound):
@@ -321,7 +302,7 @@ class BlockSpec:
             raise ValueError(
                 f"block {self.name}: scalar layout needs a 1-dim kind")
 
-    @property
+    @cached_property
     def unconstrained_size(self) -> int:
         per_row = unconstrained_dim(self.kind)
         return per_row * (self.rows if self.rows is not None else 1)
@@ -335,22 +316,26 @@ class BlockSpec:
                 for r in range(1, self.rows + 1)
                 for j in range(1, d + 1)]
 
-    def constrain(self, zeta: Sequence[ad.Scalar]):
-        """Constrain a packed slice; returns ``(value, log_det)``."""
-        if self.rows is None:
-            theta, log_det = constrain(self.kind, zeta)
-            if self.scalar:
-                return theta[0], log_det
-            return theta, log_det
-        per = unconstrained_dim(self.kind)
-        _check_len(self.kind, zeta, per * self.rows)
-        value = []
-        log_det = 0.0
-        for r in range(self.rows):
-            row, ld = constrain(self.kind, zeta[r * per:(r + 1) * per])
-            value.append(row)
-            log_det = log_det + ld
-        return value, log_det
+    def constrain(self, zeta):
+        """Constrain a packed slice; returns ``(value, log_det)``.
+
+        The last axis of ``zeta`` holds the block's unconstrained
+        coordinates; a leading axis (one per posterior draw, say) is
+        carried through to the value.
+        """
+        zeta = ad.as_array(zeta)
+        dims = zeta.shape
+        if not dims or dims[-1] != self.unconstrained_size:
+            raise ShapeError(
+                f"block {self.name}: expected {self.unconstrained_size} "
+                f"unconstrained coordinates, got {dims[-1] if dims else None}")
+        if self.rows is not None:
+            zeta = zeta.reshape(dims[:-1] + (self.rows,
+                                             unconstrained_dim(self.kind)))
+        theta, log_det = constrain(self.kind, zeta)
+        if self.scalar:
+            theta = theta.reshape(dims[:-1])
+        return theta, log_det
 
     def unconstrain(self, value) -> list[float]:
         """Pack a constrained value back into unconstrained coordinates."""

@@ -1,7 +1,9 @@
 """Built-in model collection and synthetic data generators.
 
 Six ready-made models under seven names, each returning a
-:class:`ModelDefinition` whose log joint is differentiable through the tape:
+:class:`ModelDefinition` whose log joint is an array expression,
+differentiable through the tape; a batch of observations is one
+likelihood call:
 
 * ``poisson_exponential`` - Poisson counts with an Exponential(rate) prior
   on the rate; the smallest nonconjugate example.
@@ -30,7 +32,6 @@ dataset, which is what the command line uses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -47,8 +48,6 @@ __all__ = ["ZOO_NAMES", "make_model", "model_for_data",
            "simulate_poisson_exponential", "simulate_linreg_ard",
            "simulate_hier_logistic", "simulate_nmf_counts", "simulate_gmm"]
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def _build_poisson_exponential(hypers, dims):
     rate = hypers["rate"]
@@ -56,8 +55,8 @@ def _build_poisson_exponential(hypers, dims):
     def log_prior(v, data):
         return dens.exponential(v["lam"], rate)
 
-    def loglik(v, data, n):
-        return dens.poisson(data["x"][n], v["lam"])
+    def loglik(v, data, idx):
+        return dens.poisson(data.array("x")[idx], v["lam"])
 
     return ModelDefinition(
         name="poisson_exponential",
@@ -75,16 +74,14 @@ def _build_linreg_ard(hypers, dims):
 
     def log_prior(v, data):
         w, sigma2, alpha = v["w"], v["sigma2"], v["alpha"]
-        out = dens.inverse_gamma(sigma2, a0, b0)
-        sigma = ad.sqrt(sigma2)
-        for i in range(d):
-            out = out + dens.gamma(alpha[i], c0, d0)
-            out = out + dens.normal(w[i], 0.0, sigma / ad.sqrt(alpha[i]))
-        return out
+        return (dens.inverse_gamma(sigma2, a0, b0)
+                + ad.sum(dens.gamma(alpha, c0, d0))
+                + ad.sum(dens.normal(w, 0.0,
+                                     ad.sqrt(sigma2) / ad.sqrt(alpha))))
 
-    def loglik(v, data, n):
-        mean = ad.dot(v["w"], data["x"][n])
-        return dens.normal(data["y"][n], mean, ad.sqrt(v["sigma2"]))
+    def loglik(v, data, idx):
+        mean = ad.dot(data.array("x")[idx], v["w"])
+        return dens.normal(data.array("y")[idx], mean, ad.sqrt(v["sigma2"]))
 
     return ModelDefinition(
         name="linreg_ard",
@@ -110,28 +107,25 @@ def _build_hier_logistic(hypers, dims):
     sizes = {g: dims[n] for g, n in zip(_HIER_GROUPS, _HIER_DIMS)}
 
     def log_prior(v, data):
-        out = 0.0
+        out = ad.sum(dens.normal(v["beta"], 0.0, 100.0))
         for g in _HIER_GROUPS:
             scale = v[f"sigma_{g}"]
-            out = out + dens.uniform(scale, 0.0, 100.0)
-            for x in v[g]:
-                out = out + dens.normal(x, 0.0, scale)
-        for x in v["beta"]:
-            out = out + dens.normal(x, 0.0, 100.0)
+            out = (out + dens.uniform(scale, 0.0, 100.0)
+                   + ad.sum(dens.normal(v[g], 0.0, scale)))
         return out
 
-    def loglik(v, data, n):
+    def loglik(v, data, idx):
         beta = v["beta"]
-        female = data["female"][n]
-        black = data["black"][n]
+        female = data.array("female")[idx]
+        black = data.array("black")[idx]
         yhat = (beta[0]
                 + beta[1] * black
                 + beta[2] * female
                 + beta[4] * (female * black)
-                + beta[3] * data["v_prev_full"][n])
+                + beta[3] * data.array("v_prev_full")[idx])
         for g in _HIER_GROUPS:
-            yhat = yhat + v[g][data[_HIER_INDEX[g]][n]]
-        return dens.bernoulli_logit(data["y"][n], yhat)
+            yhat = yhat + v[g][data.array(_HIER_INDEX[g])[idx]]
+        return dens.bernoulli_logit(data.array("y")[idx], yhat)
 
     blocks = tuple(BlockSpec(g, Identity(sizes[g])) for g in _HIER_GROUPS)
     blocks = blocks + (BlockSpec("beta", Identity(5)),)
@@ -153,11 +147,11 @@ def _nmf_num_observations(data):
     return len(y) * (len(y[0]) if y else 0)
 
 
-def _nmf_loglik(v, data, n):
-    y = data["y"]
-    cols = len(y[0])
-    u, i = divmod(n, cols)
-    return dens.poisson(y[u][i], ad.dot(v["theta"][u], v["beta"][i]))
+def _nmf_loglik(v, data, idx):
+    # observation idx is cell divmod(idx, I) of the U x I count matrix
+    y = data.array("y")
+    u, i = np.divmod(idx, y.shape[1])
+    return dens.poisson(y[u, i], ad.dot(v["theta"][u], v["beta"][i]))
 
 
 def _build_gamma_poisson_nmf(hypers, dims):
@@ -165,14 +159,8 @@ def _build_gamma_poisson_nmf(hypers, dims):
     a, b, c, d = (hypers[key] for key in ("a", "b", "c", "d"))
 
     def log_prior(v, data):
-        out = 0.0
-        for row in v["theta"]:
-            for x in row:
-                out = out + dens.gamma(x, a, b)
-        for row in v["beta"]:
-            for x in row:
-                out = out + dens.gamma(x, c, d)
-        return out
+        return (ad.sum(dens.gamma(v["theta"], a, b))
+                + ad.sum(dens.gamma(v["beta"], c, d)))
 
     return ModelDefinition(
         name="gamma_poisson_nmf",
@@ -190,16 +178,11 @@ def _build_gamma_poisson_nmf(hypers, dims):
 def _build_dirichlet_exponential_nmf(hypers, dims):
     u, i, k = dims["U"], dims["I"], dims["K"]
     alpha0, lambda0 = hypers["alpha0"], hypers["lambda0"]
-    alpha_vec = [alpha0] * k
+    alpha_vec = np.full(k, alpha0)
 
     def log_prior(v, data):
-        out = 0.0
-        for row in v["theta"]:
-            out = out + dens.dirichlet(row, alpha_vec)
-        for row in v["beta"]:
-            for x in row:
-                out = out + dens.exponential(x, lambda0)
-        return out
+        return (ad.sum(dens.dirichlet(v["theta"], alpha_vec))
+                + ad.sum(dens.exponential(v["beta"], lambda0)))
 
     return ModelDefinition(
         name="dirichlet_exponential_nmf",
@@ -219,29 +202,20 @@ def _build_gmm(hypers, dims):
     alpha0 = hypers["alpha0"]
     mu_sigma0 = hypers["mu_sigma0"]
     sigma_sigma0 = hypers["sigma_sigma0"]
-    alpha_vec = [alpha0] * k
+    alpha_vec = np.full(k, alpha0)
 
     def log_prior(v, data):
-        out = dens.dirichlet(v["theta"], alpha_vec)
-        for kk in range(k):
-            for dd in range(d):
-                out = out + dens.normal(v["mu"][kk][dd], 0.0, mu_sigma0)
-                out = out + dens.lognormal(v["sigma"][kk][dd], 0.0,
-                                           sigma_sigma0)
-        return out
+        return (dens.dirichlet(v["theta"], alpha_vec)
+                + ad.sum(dens.normal(v["mu"], 0.0, mu_sigma0))
+                + ad.sum(dens.lognormal(v["sigma"], 0.0, sigma_sigma0)))
 
-    def loglik(v, data, n):
-        yn = data["y"][n]
-        theta, mu, sigma = v["theta"], v["mu"], v["sigma"]
-        comps = []
-        for kk in range(k):
-            mk, sk = mu[kk], sigma[kk]
-            z = [(yn[dd] - mk[dd]) / sk[dd] for dd in range(d)]
-            lp = ad.log(theta[kk]) - d * _HALF_LOG_2PI
-            for dd in range(d):
-                lp = lp - ad.log(sk[dd])
-            comps.append(lp - 0.5 * ad.dot(z, z))
-        return ad.log_sum_exp(comps)
+    def loglik(v, data, idx):
+        # (..., 1, D) points against (K, D) components: log theta_k plus
+        # the diagonal normal density, log-sum-exp over k
+        y = data.array("y")[idx][..., None, :]
+        comps = (ad.log(v["theta"])
+                 + ad.sum(dens.normal(y, v["mu"], v["sigma"]), axis=-1))
+        return ad.log_sum_exp(comps, axis=-1)
 
     return ModelDefinition(
         name="gmm",

@@ -197,6 +197,10 @@ def test_exp_overflow_saturates_to_inf():
 
 def test_mixed_graph_operands_rejected():
     g1, g2 = ad.Graph(), ad.Graph()
+    with pytest.raises(ValueError, match="different graphs"):
+        g1.leaf(3.0) * g2.leaf(2.0)
+    with pytest.raises(ValueError, match="different graphs"):
+        g1.leaf(3.0) - g2.leaf(2.0)
     with pytest.raises(ValueError, match="graph"):
         ad.dot([g1.leaf(1.0)], [g2.leaf(2.0)])
     with pytest.raises(ValueError, match="graph"):

@@ -47,6 +47,13 @@ def test_happy_path(poisson_files, capsys):
     assert manifest["timings"]["wall_seconds"] > 0
 
 
+def test_manifest_reports_failed_draw_counts(poisson_files):
+    assert main(_argv(poisson_files)) == 0
+    details = json.loads(poisson_files["manifest"].read_text())["details"]
+    assert details["elbo_draws_dropped"] == 0
+    assert details["gradient_redraws"] == 0
+
+
 def test_unknown_model_exits_2(poisson_files, capsys):
     argv = _argv(poisson_files)
     argv[1] = "nosuch"

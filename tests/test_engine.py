@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from meanfield import autodiff as ad
 from meanfield import engine
 from meanfield import zoo
 from meanfield.engine import FitConfig, OptState, VariationalParams, \
     adagrad_step, draw_posterior, estimate_elbo, estimate_gradients, fit, \
     inverse_standardize, substream
-from meanfield.errors import ConfigurationError, EvaluationFailure, \
-    ShapeError
+from meanfield.errors import ConfigurationError, DomainError, \
+    EvaluationFailure, ShapeError
 from meanfield.model import Dataset, ModelDefinition
 from meanfield.transforms import BlockSpec, Identity
 from util import EMPTY_DATA, gaussian_toy, toy_elbo
@@ -21,6 +22,24 @@ def _flat_model(value=0.0):
         name="flat",
         blocks=(BlockSpec("z", Identity(1), scalar=True),),
         log_prior=lambda v, data: value + 0.0 * v["z"],
+        loglik_term=lambda v, data, n: 0.0,
+        num_observations=lambda data: 0,
+    )
+
+
+def _half_failing_model():
+    """Flat joint, out of domain wherever z > 0. Its gradient is 0, so mu
+    stays 0 and a draw fails exactly when its standard normal eta is > 0:
+    on half of the draws."""
+    def log_prior(v, data):
+        if ad.value(v["z"]) > 0.0:
+            raise DomainError("z > 0")
+        return 0.0 * v["z"]
+
+    return ModelDefinition(
+        name="half_failing",
+        blocks=(BlockSpec("z", Identity(1), scalar=True),),
+        log_prior=log_prior,
         loglik_term=lambda v, data, n: 0.0,
         num_observations=lambda data: 0,
     )
@@ -288,6 +307,49 @@ class TestFit:
         # iteration indices and objective values must match exactly
         assert [(r[0], r[2]) for r in t_full.rows] == \
             [(r[0], r[2]) for r in t_batch.rows]
+
+    def test_work_clock_repeats_and_grows_with_data(self):
+        # elapsed_ms counts the array elements of the gradient tapes: the
+        # same for one seed, larger for more observations
+        def clock(n):
+            rng = np.random.default_rng(2)
+            data, _ = zoo.simulate_gmm(rng, n, [[0.0], [3.0]], sigma=0.6)
+            model = zoo.model_for_data(
+                "gmm", data, {"K": 2, "mu_sigma0": 3.0,
+                              "sigma_sigma0": 1.0, "alpha0": 5.0})
+            cfg = FitConfig(max_iterations=20, seed=4, eval_interval=5,
+                            elbo_samples=3)
+            return [r[1] for r in fit(model, data, cfg)[1].rows]
+
+        small = clock(12)
+        assert clock(12) == small
+        large = clock(48)
+        assert len(small) == len(large) == 4
+        assert all(b > a for a, b in zip(small, large))
+
+    def test_failed_draws_are_counted(self):
+        model = _half_failing_model()
+        cfg = FitConfig(max_iterations=30, seed=6, eval_interval=10,
+                        elbo_samples=40)
+        params, trace = fit(model, EMPTY_DATA, cfg)
+        assert params.mu.tolist() == [0.0]
+        # replay the draws: an ELBO draw is dropped and a gradient draw
+        # redrawn exactly when its eta is positive
+        dropped = 0
+        for i in (9, 19, 29):
+            gen = substream(6, engine.STREAM_ELBO, i)
+            dropped += sum(gen.standard_normal(1)[0] > 0.0
+                           for _ in range(40))
+        redraws = 0
+        for i in range(30):
+            gen = np.random.default_rng(np.random.SeedSequence(
+                6, spawn_key=(engine.STREAM_GRAD, i, 0)))
+            while gen.standard_normal(1)[0] > 0.0:
+                redraws += 1
+        assert trace.elbo_draws_dropped == dropped
+        assert trace.gradient_redraws == redraws
+        assert 0.35 < dropped / 120 < 0.65  # the known share, 1/2
+        assert 0.5 < redraws / 30 < 1.5  # one redraw per draw on average
 
     def test_minibatch_too_large_rejected(self):
         model = zoo.make_model("poisson_exponential")

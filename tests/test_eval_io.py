@@ -60,6 +60,29 @@ class TestHeldoutLogPredictive:
         assert report.mean_log_predictive == -math.inf
         assert report.failed_index == 0
 
+    def test_point_dependent_domain_error_scores_that_pair_only(self):
+        # draw 0 gives held-out cell (0, 0) a Poisson rate of exactly 0,
+        # and every other (draw, cell) pair a positive rate: only that
+        # pair scores -inf, draw 0 still counts for cell (0, 1)
+        model = zoo.make_model("dirichlet_exponential_nmf",
+                               dims={"U": 1, "I": 2, "K": 2})
+        theta = np.array([[[0.5, 0.5]], [[0.3, 0.7]]])  # (draws, U, K)
+        beta = np.array([[[0.0, 0.0], [1.0, 2.0]],
+                         [[1.5, 0.5], [0.5, 1.0]]])  # (draws, I, K)
+        draws = PosteriorDraws(blocks=model.blocks,
+                               samples={"theta": theta, "beta": beta},
+                               size=2)
+        rates = np.einsum("suk,sik->sui", theta, beta)[:, 0, :]
+        assert rates[0, 0] == 0.0 and (np.delete(rates, 0) > 0.0).all()
+        report = heldout_log_predictive(
+            model, draws, Dataset({"U": 1, "I": 2, "y": [[1, 2]]}))
+        cell0 = math.log(0.5 * math.exp(_poisson_lpmf(1, rates[1, 0])))
+        cell1 = math.log(0.5 * (math.exp(_poisson_lpmf(2, rates[0, 1]))
+                                + math.exp(_poisson_lpmf(2, rates[1, 1]))))
+        assert report.failed_index is None
+        assert report.mean_log_predictive == \
+            pytest.approx(0.5 * (cell0 + cell1), abs=1e-12)
+
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(3)
         rates = list(rng.uniform(0.5, 4.0, 17))

@@ -160,6 +160,27 @@ def test_gmm_matches_assignment_enumeration():
         assert mixture == pytest.approx(math.log(total), abs=1e-10)
 
 
+def test_gmm_tape_does_not_grow_with_data():
+    # one node per array operation, and data, hyperparameters and other
+    # constants live inside the nodes that use them: the only leaves are
+    # the zeta leaves, and N = 1000 builds the tape that N = 12 does
+    model, data = _small_instance("gmm")
+    rng = np.random.default_rng(12)
+    big, _ = zoo.simulate_gmm(rng, 1000, [[-2.0, 0.0], [2.0, 1.0]],
+                              sigma=0.8)
+    zeta = list(rng.normal(0.0, 1.0, model.dim))
+    sizes = []
+    for d in (data, big):
+        g = ad.Graph()
+        leaves = [g.leaf(z) for z in zeta]
+        log_joint_unconstrained(model, d, leaves)
+        assert [i for i, op in enumerate(g.ops) if op == ad.LEAF] == \
+            [v.i for v in leaves]
+        sizes.append(len(g))
+    assert model.num_observations(data) == 12
+    assert sizes[0] == sizes[1]
+
+
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
 def test_partition_average_equals_full_joint(name):
     model, data = _small_instance(name)

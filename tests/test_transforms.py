@@ -61,7 +61,7 @@ def test_simplex_centered_at_zero():
 
 def test_positive_ordered_at_zero():
     theta, log_det = tr.constrain(tr.PositiveOrdered(2), [0.0, 0.0])
-    assert theta == [1.0, 2.0] and log_det == 0.0
+    assert theta.tolist() == [1.0, 2.0] and log_det == 0.0
 
 
 def test_unconstrain_examples():
@@ -251,7 +251,7 @@ class TestBlockSpec:
         assert b.column_names() == [
             "mu.1.1", "mu.1.2", "mu.2.1", "mu.2.2", "mu.3.1", "mu.3.2"]
         value, log_det = b.constrain([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert value == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert value.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         assert log_det == 0.0
         assert b.unconstrain(value) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
