@@ -102,7 +102,7 @@ class Graph:
     def leaf(self, value) -> "Var":
         """Append a leaf node holding ``value``, a finite float or array."""
         value = np.array(value, dtype=float)
-        if not np.isfinite(value).all():
+        if np.count_nonzero(np.isfinite(value)) != value.size:
             raise DomainError(f"leaf value must be finite, got {value!r}")
         return self._push(LEAF, (), float(value) if value.ndim == 0 else value,
                           None)
@@ -167,8 +167,9 @@ class Var:
         if len(new_shape) == 1:
             new_shape = new_shape[0]
         src = self.shape
+        # [()] makes a 0-d result a numpy scalar, which computes faster
         return self.graph._push("reshape", (self.i,),
-                                self.val.reshape(new_shape),
+                                self.val.reshape(new_shape)[()],
                                 lambda g: (np.asarray(g).reshape(src),))
 
     def __add__(self, other):
@@ -237,20 +238,19 @@ def gradient(output: Var, wrt: Sequence[Var]) -> list:
 
 # -- broadcasting arithmetic ------------------------------------------------
 
-def _shape(v) -> tuple:
-    return getattr(v, "shape", ())
-
-
 def _any(cond) -> bool:
-    """Whether any element of a comparison result holds."""
-    return bool(cond.any()) if type(cond) is np.ndarray else bool(cond)
+    """Whether any element of a comparison result holds (count_nonzero is
+    the cheapest reduction for the small arrays of a tiny model)."""
+    if type(cond) is np.ndarray:
+        return np.count_nonzero(cond) > 0
+    return bool(cond)
 
 
 def _unbroadcast(g, like):
     """Sum adjoint ``g`` over the axes that broadcasting added to the
     shape of operand value ``like``."""
-    target = _shape(like)
-    have = _shape(g)
+    target = getattr(like, "shape", ())  # a Python float has none
+    have = getattr(g, "shape", ())
     if have == target:
         return g
     extra = len(have) - len(target)
@@ -399,7 +399,7 @@ def _lgamma(v):
     # math.lgamma per element: data and hyperparameter constants take this
     # path too, and it keeps scipy out of the import
     _check_positive("log_gamma", v)
-    if not _shape(v):
+    if not getattr(v, "shape", ()):
         return _lgamma1(float(v))
     return np.array([_lgamma1(t) for t in v.ravel().tolist()]).reshape(v.shape)
 

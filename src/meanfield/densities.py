@@ -34,7 +34,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 def _holds(cond) -> bool:
     """Whether every element of a comparison result holds."""
-    return bool(cond.all()) if type(cond) is np.ndarray else bool(cond)
+    if type(cond) is np.ndarray:
+        return np.count_nonzero(cond) == cond.size
+    return bool(cond)
 
 
 def _positive(x, dist: str, what: str):

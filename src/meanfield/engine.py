@@ -297,25 +297,23 @@ def _counted_gradients(model, data, params, m, rng, batch):
     g_omega = np.zeros(params.dim)
     elements = 0
     redraws = 0
-    # a wild draw may overflow: it is redrawn, not reported as a warning
-    with np.errstate(all="ignore"):
-        for child in children:
-            gen = np.random.Generator(np.random.PCG64(child))
-            for attempt in range(1 + _MAX_REDRAWS):
-                eta = gen.standard_normal(params.dim)
-                # inverse_standardize, with exp(omega) computed once
-                zeta = sigma * eta + params.mu
-                d_zeta, n = _gradient_sample(model, data, zeta, batch)
-                elements += n
-                if d_zeta is not None:
-                    break
-            else:
-                raise EvaluationFailure(
-                    f"gradient sample stayed non-finite after "
-                    f"{_MAX_REDRAWS} redraws")
-            redraws += attempt
-            g_mu += d_zeta
-            g_omega += d_zeta * eta * sigma
+    for child in children:
+        gen = np.random.Generator(np.random.PCG64(child))
+        for attempt in range(1 + _MAX_REDRAWS):
+            eta = gen.standard_normal(params.dim)
+            # inverse_standardize, with exp(omega) computed once
+            zeta = sigma * eta + params.mu
+            d_zeta, n = _gradient_sample(model, data, zeta, batch)
+            elements += n
+            if d_zeta is not None:
+                break
+        else:
+            raise EvaluationFailure(
+                f"gradient sample stayed non-finite after {_MAX_REDRAWS} "
+                "redraws")
+        redraws += attempt
+        g_mu += d_zeta
+        g_omega += d_zeta * eta * sigma
     g_mu /= m
     g_omega /= m
     g_omega += 1.0
@@ -396,11 +394,14 @@ def fit(model: ModelDefinition, data: Dataset,
             chosen = gen.choice(n_obs, size=config.minibatch, replace=False)
             batch = np.sort(chosen)
         try:
-            g_mu, g_omega, elements, redraws = _counted_gradients(
-                model, data, params, config.grad_samples,
-                np.random.SeedSequence(config.seed,
-                                       spawn_key=(STREAM_GRAD, i)),
-                batch)
+            # a wild draw may overflow: it is redrawn, not reported as a
+            # warning
+            with np.errstate(all="ignore"):
+                g_mu, g_omega, elements, redraws = _counted_gradients(
+                    model, data, params, config.grad_samples,
+                    np.random.SeedSequence(config.seed,
+                                           spawn_key=(STREAM_GRAD, i)),
+                    batch)
         except EvaluationFailure as exc:
             raise EvaluationFailure(
                 f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
