@@ -83,8 +83,9 @@ class Graph:
         return len(self.vals)
 
     def elements(self) -> int:
-        """Array elements held by the nodes, the size of the work a build
-        and a sweep do (a node count no longer is)."""
+        """Array elements held by the nodes: the size of the work a build
+        and a sweep do, which a node count is not, since one node may
+        hold one value or N."""
         total = 0
         for v in self.vals:
             total += getattr(v, "size", 1)

@@ -15,7 +15,7 @@ with one seed are bit-identical.
 The trace's elapsed_ms column is a deterministic work clock: cumulative
 array elements produced by the gradient tapes (the sizes of every tape
 node's value), at a nominal 1000 elements per millisecond. A tape node is
-one array operation, so a node count no longer measures compute; the
+one array operation, so a node count would not measure compute; the
 elements do, and they depend only on the model, the data sizes and the
 draws. Real wall-clock duration is reported separately (and recorded in run
 manifests) so output files stay byte-reproducible.
