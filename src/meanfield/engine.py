@@ -91,10 +91,6 @@ class VariationalParams:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.omega)
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -136,8 +132,8 @@ class FitConfig:
 class OptState:
     """Sliding window of squared gradients for the adaptive stepsize.
 
-    The window sum is recomputed oldest-first from zeros on every step (no
-    running-sum drift), so it equals the brute-force sum of the last
+    The window sum is recomputed oldest-first on every step (no running-sum
+    drift), so it equals the brute-force sum of the last
     min(iteration, window) squared gradients exactly. No RNG state lives
     here: streams are pure functions of (seed, stream kind, iteration), so
     the iteration counter is the whole of it.
@@ -154,10 +150,9 @@ class OptState:
     def update(self, squared: np.ndarray) -> np.ndarray:
         self.recent.append(squared)
         self.iteration += 1
-        total = np.zeros(self.dim)
-        for sq in self.recent:
-            total = total + sq
-        return total
+        # oldest first, like the brute-force sum; np.add.reduce over the
+        # stacked window would sum a one-coordinate window pairwise
+        return sum(self.recent)
 
 
 @dataclass
@@ -402,35 +397,30 @@ def fit(model: ModelDefinition, data: Dataset,
                     np.random.SeedSequence(config.seed,
                                            spawn_key=(STREAM_GRAD, i)),
                     batch)
+            work_elements += elements
+            trace.gradient_redraws += redraws
+            rho_mu = adagrad_step(opt_mu, g_mu, config)
+            rho_omega = adagrad_step(opt_omega, g_omega, config)
+            mu = params.mu + rho_mu * g_mu
+            omega = params.omega + rho_omega * g_omega
+            clipped = np.clip(omega, -_OMEGA_BOUND, _OMEGA_BOUND)
+            trace.clamp_events += int(np.sum(clipped != omega))
+            params = VariationalParams(mu, clipped)
+            if (i + 1) % config.eval_interval == 0:
+                elbo, dropped = _elbo_and_drops(
+                    model, data, params, config.elbo_samples,
+                    substream(config.seed, STREAM_ELBO, i))
+                trace.elbo_draws_dropped += dropped
+                trace.append(i + 1, work_elements / _ELEMENTS_PER_MS, elbo)
+                if last_elbo is not None:
+                    rel = abs(elbo - last_elbo) / max(abs(last_elbo), 1e-12)
+                    if rel < config.threshold:
+                        break
+                last_elbo = elbo
         except EvaluationFailure as exc:
             raise EvaluationFailure(
                 f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
                 f"omega={params.omega.tolist()}") from exc
-        work_elements += elements
-        trace.gradient_redraws += redraws
-        rho_mu = adagrad_step(opt_mu, g_mu, config)
-        rho_omega = adagrad_step(opt_omega, g_omega, config)
-        mu = params.mu + rho_mu * g_mu
-        omega = params.omega + rho_omega * g_omega
-        clipped = np.clip(omega, -_OMEGA_BOUND, _OMEGA_BOUND)
-        trace.clamp_events += int(np.sum(clipped != omega))
-        params = VariationalParams(mu, clipped)
-        if (i + 1) % config.eval_interval == 0:
-            try:
-                elbo, dropped = _elbo_and_drops(
-                    model, data, params, config.elbo_samples,
-                    substream(config.seed, STREAM_ELBO, i))
-            except EvaluationFailure as exc:
-                raise EvaluationFailure(
-                    f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
-                    f"omega={params.omega.tolist()}") from exc
-            trace.elbo_draws_dropped += dropped
-            trace.append(i + 1, work_elements / _ELEMENTS_PER_MS, elbo)
-            if last_elbo is not None:
-                rel = abs(elbo - last_elbo) / max(abs(last_elbo), 1e-12)
-                if rel < config.threshold:
-                    break
-            last_elbo = elbo
     trace.wall_time_s = time.perf_counter() - wall_start
     return params, trace
 

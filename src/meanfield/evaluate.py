@@ -2,9 +2,10 @@
 
 The score is the average over held-out points of the log posterior
 predictive density, approximated by Monte Carlo over posterior draws:
-mean_n log( mean_s p(x_n | theta_s) ). The inner mean is computed with
-log-mean-exp and exact (fsum) accumulation, so the result is invariant to
-the order of draws and of held-out points.
+mean_n log( mean_s p(x_n | theta_s) ). The inner mean is a log-mean-exp
+whose sum runs over each point's draws in sorted order, so it does not
+depend on the order of the draws; the outer mean is an exact (fsum) sum
+over points, so it does not depend on their order either.
 
 A (draw, point) pair outside the likelihood's support (a Poisson rate of
 exactly 0 in one cell, say) scores a log likelihood of -inf: that pair
@@ -36,14 +37,6 @@ class EvalReport:
     # Index of the first held-out point to which every draw assigned zero
     # likelihood; the score is -inf in that case.
     failed_index: int | None = None
-
-
-def _log_mean_exp(values: list[float]) -> float:
-    m = max(values)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in values)
-                        / len(values))
 
 
 def _draw_logliks(model, values, heldout, idx):
@@ -86,24 +79,38 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
     failed_index = None
     for start in range(0, num_points, step):
         idx = np.arange(start, min(start + step, num_points))
-        logliks = np.empty((draws.size, len(idx)))
+        # one row per point: each point's draws are contiguous, so every
+        # point's sum runs the same way whatever the chunk's width
+        logliks = np.empty((len(idx), draws.size))
         try:
             with np.errstate(all="ignore"):
                 for s, values in enumerate(per_draw):
-                    logliks[s] = _draw_logliks(model, values, heldout, idx)
+                    logliks[:, s] = _draw_logliks(model, values, heldout,
+                                                  idx)
         except (IndexError, TypeError, KeyError, ValueError) as exc:
             raise ConfigurationError(
                 f"held-out data is not shape-compatible with model "
                 f"{model.name} at points {start}..{idx[-1]}: {exc}") from exc
-        nan = np.isnan(logliks).any(axis=0)
+        # sorted, the sum does not depend on the order of the draws, and a
+        # NaN sorts last: the last column is each point's max or its NaN
+        logliks.sort(axis=1)
+        top = logliks[:, -1]
+        nan = np.isnan(top)
         if nan.any():
             raise EvaluationFailure(
                 f"NaN likelihood at held-out point {idx[nan.argmax()]}")
-        for j, n in enumerate(idx.tolist()):
-            score = _log_mean_exp(logliks[:, j].tolist())
-            if score == -math.inf and failed_index is None:
-                failed_index = n
-            point_scores.append(score)
+        # log-mean-exp in place; a point whose draws all score -inf keeps
+        # a shift of 0 and scores log(0) = -inf
+        shift = np.where(np.isfinite(top), top, 0.0)
+        logliks -= shift[:, None]
+        with np.errstate(divide="ignore"):
+            np.exp(logliks, out=logliks)
+            scores = shift + np.log(np.add.reduce(logliks, axis=1)
+                                    / draws.size)
+        zero = scores == -math.inf
+        if failed_index is None and zero.any():
+            failed_index = int(idx[zero.argmax()])
+        point_scores.extend(scores.tolist())
     if failed_index is not None:
         mean = -math.inf
     else:

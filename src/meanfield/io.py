@@ -78,23 +78,19 @@ def load_dataset(path) -> Dataset:
     return Dataset(entries)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_samples_csv(draws: PosteriorDraws, path) -> None:
     """One header row of flattened constrained names, one row per draw."""
-    lines = [",".join(draws.column_names())]
     flat = draws.flattened()
-    for s in range(draws.size):
-        lines.append(",".join(_fmt(v) for v in flat[s]))
+    row = ",".join(["%.17g"] * flat.shape[1])
+    lines = [",".join(draws.column_names())]
+    # one row of Python floats at a time, not the whole table at once
+    lines += [row % tuple(draw.tolist()) for draw in flat]
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_diagnostics_csv(trace: ElboTrace, path) -> None:
     lines = ["iteration,elapsed_ms,elbo"]
-    for iteration, elapsed_ms, elbo in trace:
-        lines.append(f"{iteration},{_fmt(elapsed_ms)},{_fmt(elbo)}")
+    lines += ["%d,%.17g,%.17g" % row for row in trace]
     _write_text(path, "\n".join(lines) + "\n")
 
 

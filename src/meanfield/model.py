@@ -61,13 +61,8 @@ class Dataset:
                 f"dataset is missing entry {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
+        # without it, ``in`` would fall back to ``self[0]``, which raises
         return name in self.entries
-
-    def get(self, name: str, default=None):
-        return self.entries.get(name, default)
-
-    def names(self) -> list[str]:
-        return list(self.entries)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ vector zeta and back, and reports log|det J| of the constraining direction
 (unconstrained -> constrained) so densities can be corrected for the change
 of variables. :func:`constrain` is an array expression over the last axis,
 on float arrays or tape values alike, so gradients flow through the
-transform and its Jacobian term; :func:`unconstrain` is float-only (it is
-used to initialize from or inspect constrained values, never
-differentiated).
+transform and its Jacobian term. :func:`unconstrain` and
+:func:`check_value` are float array expressions over the same axes (they
+initialize from or inspect constrained values, never differentiated).
 
 Formulas:
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -192,91 +192,82 @@ def constrain(kind: TransformKind, zeta):
     raise TypeError(f"unknown transform kind {kind!r}")
 
 
-def check_value(kind: TransformKind, theta: Sequence[float]) -> None:
+def _require(kind, inside, values, message):
+    """Raise :class:`DomainError` unless ``inside`` holds everywhere; the
+    first of ``values`` where it fails, in row order, fills ``message``."""
+    if not inside.all():
+        raise DomainError(
+            f"{kind!r}: " + message.format(values[~inside][0]))
+
+
+def check_value(kind: TransformKind, theta) -> None:
     """Raise :class:`DomainError` unless ``theta`` lies strictly inside
-    the support of ``kind`` (boundaries are rejected)."""
-    _check_len(kind, len(theta), constrained_dim(kind))
+    the support of ``kind`` (boundaries are rejected).
+
+    ``theta`` has the kind's constrained dimension as its last axis;
+    leading axes are rows, each checked on its own.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _check_len(kind, theta.shape[-1] if theta.ndim else None,
+               constrained_dim(kind))
     if isinstance(kind, Identity):
         return
     if isinstance(kind, LowerBound):
-        for x in theta:
-            if not x > kind.bound:
-                raise DomainError(
-                    f"LowerBound({kind.bound}): value {x} not above bound")
-        return
-    if isinstance(kind, UpperBound):
-        for x in theta:
-            if not x < kind.bound:
-                raise DomainError(
-                    f"UpperBound({kind.bound}): value {x} not below bound")
-        return
-    if isinstance(kind, Interval):
-        for x in theta:
-            if not (kind.lower < x < kind.upper):
-                raise DomainError(
-                    f"Interval({kind.lower},{kind.upper}): value {x} "
-                    "not strictly inside")
-        return
-    if isinstance(kind, Simplex):
-        total = math.fsum(theta)
-        if abs(total - 1.0) > 1e-8:
-            raise DomainError(f"Simplex: components sum to {total}, not 1")
-        for x in theta:
-            if not x > 0.0:
-                raise DomainError(f"Simplex: component {x} not positive")
-        return
-    if isinstance(kind, Ordered):
-        for lo, hi in zip(theta, theta[1:]):
-            if not hi > lo:
-                raise DomainError(
-                    f"Ordered: components {lo}, {hi} not strictly increasing")
-        return
-    if isinstance(kind, PositiveOrdered):
-        if not theta[0] > 0.0:
-            raise DomainError(
-                f"PositiveOrdered: first component {theta[0]} not positive")
-        for lo, hi in zip(theta, theta[1:]):
-            if not hi > lo:
-                raise DomainError(
-                    f"PositiveOrdered: components {lo}, {hi} "
-                    "not strictly increasing")
-        return
-    raise TypeError(f"unknown transform kind {kind!r}")
+        _require(kind, theta > kind.bound, theta,
+                 "value {} not above the bound")
+    elif isinstance(kind, UpperBound):
+        _require(kind, theta < kind.bound, theta,
+                 "value {} not below the bound")
+    elif isinstance(kind, Interval):
+        _require(kind, (kind.lower < theta) & (theta < kind.upper), theta,
+                 "value {} not strictly inside")
+    elif isinstance(kind, Simplex):
+        total = np.add.reduce(theta, axis=-1)
+        _require(kind, abs(total - 1.0) <= 1e-8, total,
+                 "components sum to {}, not 1")
+        _require(kind, theta > 0.0, theta, "component {} not positive")
+    elif isinstance(kind, (Ordered, PositiveOrdered)):
+        if isinstance(kind, PositiveOrdered):
+            _require(kind, theta[..., 0] > 0.0, theta[..., 0],
+                     "first component {} not positive")
+        _require(kind, theta[..., 1:] > theta[..., :-1], theta[..., 1:],
+                 "component {} not above the one before it")
+    else:
+        raise TypeError(f"unknown transform kind {kind!r}")
 
 
-def unconstrain(kind: TransformKind, theta: Sequence[float]) -> list[float]:
-    """Invert :func:`constrain` for a strictly in-support float vector."""
+def unconstrain(kind: TransformKind, theta) -> list[float]:
+    """Invert :func:`constrain` for strictly in-support float values.
+
+    ``theta`` has the kind's constrained dimension as its last axis;
+    leading axes are rows. Returns the unconstrained coordinates as one
+    flat list, row after row: the packed layout of a block.
+    """
+    theta = np.asarray(theta, dtype=float)
     check_value(kind, theta)
     if isinstance(kind, Identity):
-        return [float(x) for x in theta]
-    if isinstance(kind, LowerBound):
-        return [math.log(x - kind.bound) for x in theta]
-    if isinstance(kind, UpperBound):
-        return [math.log(kind.bound - x) for x in theta]
-    if isinstance(kind, Interval):
-        return [math.log(x - kind.lower) - math.log(kind.upper - x)
-                for x in theta]
-    if isinstance(kind, Simplex):
+        zeta = theta
+    elif isinstance(kind, LowerBound):
+        zeta = np.log(theta - kind.bound)
+    elif isinstance(kind, UpperBound):
+        zeta = np.log(kind.bound - theta)
+    elif isinstance(kind, Interval):
+        zeta = np.log(theta - kind.lower) - np.log(kind.upper - theta)
+    elif isinstance(kind, Simplex):
         # The stick left after component i is the sum of the later ones,
         # accumulated from the end: one minus a prefix sum cancels when the
         # later components are tiny.
-        k = kind.size
-        rest = [0.0] * k
-        for i in range(k - 2, -1, -1):
-            rest[i] = rest[i + 1] + theta[i + 1]
-        return [math.log(theta[i]) - math.log(rest[i])
-                + math.log(float(k - 1 - i)) for i in range(k - 1)]
-    if isinstance(kind, Ordered):
-        zeta = [float(theta[0])]
-        for lo, hi in zip(theta, theta[1:]):
-            zeta.append(math.log(hi - lo))
-        return zeta
-    if isinstance(kind, PositiveOrdered):
-        zeta = [math.log(theta[0])]
-        for lo, hi in zip(theta, theta[1:]):
-            zeta.append(math.log(hi - lo))
-        return zeta
-    raise TypeError(f"unknown transform kind {kind!r}")
+        rest = np.cumsum(theta[..., :0:-1], axis=-1)[..., ::-1]
+        zeta = (np.log(theta[..., :-1]) - np.log(rest)
+                + _stick_offsets(kind.size))
+    elif isinstance(kind, Ordered):
+        zeta = np.concatenate(
+            [theta[..., :1], np.log(np.diff(theta, axis=-1))], axis=-1)
+    elif isinstance(kind, PositiveOrdered):
+        zeta = np.log(np.diff(theta, axis=-1, prepend=0.0))
+    else:
+        raise TypeError(f"unknown transform kind {kind!r}")
+    return zeta.ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -339,14 +330,13 @@ class BlockSpec:
 
     def unconstrain(self, value) -> list[float]:
         """Pack a constrained value back into unconstrained coordinates."""
-        if self.rows is None:
-            theta = [value] if self.scalar else value
-            return unconstrain(self.kind, theta)
-        if len(value) != self.rows:
+        d = constrained_dim(self.kind)
+        shape = (d,) if self.rows is None else (self.rows, d)
+        if self.scalar:
+            shape = ()
+        theta = np.asarray(value, dtype=float)
+        if theta.shape != shape:
             raise ShapeError(
-                f"block {self.name}: expected {self.rows} rows, "
-                f"got {len(value)}")
-        zeta: list[float] = []
-        for row in value:
-            zeta.extend(unconstrain(self.kind, row))
-        return zeta
+                f"block {self.name}: expected a value of shape {shape}, "
+                f"got {theta.shape}")
+        return unconstrain(self.kind, theta.reshape(-1, d))

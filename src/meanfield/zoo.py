@@ -348,7 +348,7 @@ def simulate_poisson_exponential(rng: np.random.Generator, n: int = 20,
     """Poisson counts at a rate drawn from Exponential(1)-ish scale."""
     lam = float(rng.exponential(rate))
     x = rng.poisson(lam, size=n)
-    return Dataset({"N": n, "x": [int(v) for v in x]}), {"lam": lam}
+    return Dataset({"N": n, "x": x.tolist()}), {"lam": lam}
 
 
 def simulate_linreg_ard(rng: np.random.Generator, n: int, d: int,
@@ -396,7 +396,7 @@ def simulate_hier_logistic(rng: np.random.Generator, n: int,
         "age_edu": age_edu.tolist(), "state": state.tolist(),
         "region_full": region.tolist(), "female": female.tolist(),
         "black": black.tolist(), "v_prev_full": v_prev.tolist(),
-        "y": [int(v) for v in y],
+        "y": y.tolist(),
     })
     truth = {"beta": beta.tolist(), "scales": scales}
     return data, truth
@@ -408,8 +408,7 @@ def simulate_nmf_counts(rng: np.random.Generator, u: int, i: int, k: int,
     theta = np.sort(rng.gamma(1.0, scale, size=(u, k)), axis=1)
     beta = rng.gamma(1.0, scale, size=(i, k))
     y = rng.poisson(theta @ beta.T)
-    data = Dataset({"U": u, "I": i, "y": [[int(v) for v in row]
-                                          for row in y]})
+    data = Dataset({"U": u, "I": i, "y": y.tolist()})
     return data, {"theta": theta.tolist(), "beta": beta.tolist()}
 
 

@@ -206,6 +206,21 @@ class TestAdagradStep:
                 config.step_scale / (config.step_offset +
                                      np.sqrt(expected))).tolist()
 
+    def test_one_coordinate_window_sum_is_oldest_first(self):
+        # a full window of one coordinate: summed pairwise, as numpy sums
+        # a single column, it would round differently
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            state = OptState(1, 10)
+            history = [rng.uniform(0.0, 1.0, 1) * 10.0 ** rng.integers(-6, 6)
+                       for _ in range(12)]
+            for sq in history:
+                total = state.update(sq)
+            expected = np.zeros(1)
+            for sq in history[-10:]:
+                expected = expected + sq
+            assert total.tolist() == expected.tolist()
+
     def test_shape_checked(self):
         state = OptState(2, 10)
         with pytest.raises(ShapeError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield import zoo
+from meanfield import evaluate, zoo
 from meanfield.engine import PosteriorDraws, VariationalParams, \
     draw_posterior, ElboTrace
 from meanfield.errors import ConfigurationError, ShapeError
@@ -26,6 +26,16 @@ def _poisson_draws(rates):
 
 def _poisson_lpmf(k, rate):
     return k * math.log(rate) - rate - math.lgamma(k + 1)
+
+
+def _log_mean_exp(values):
+    # the per-point scalar reduction that held-out scoring used before it
+    # became one array expression, kept as an oracle
+    m = max(values)
+    if m == -math.inf:
+        return -math.inf
+    return m + math.log(math.fsum(math.exp(v - m) for v in values)
+                        / len(values))
 
 
 class TestHeldoutLogPredictive:
@@ -94,6 +104,58 @@ class TestHeldoutLogPredictive:
         c = heldout_log_predictive(model, draws_a, Dataset({"x": x[::-1]}))
         assert a.mean_log_predictive == b.mean_log_predictive
         assert a.mean_log_predictive == c.mean_log_predictive
+
+    def test_matches_scalar_log_mean_exp_across_chunks(self):
+        # 300 draws x 300 cells is more (draw, point) pairs than one chunk
+        # holds; draw 0 gives cell 5 a Poisson rate of exactly 0, the one
+        # -inf pair
+        rng = np.random.default_rng(4)
+        draws_n, items = 300, 300
+        model = zoo.make_model("dirichlet_exponential_nmf",
+                               dims={"U": 1, "I": items, "K": 2})
+        theta = rng.dirichlet([2.0, 2.0], size=(draws_n, 1))
+        beta = rng.exponential(1.0, size=(draws_n, items, 2))
+        beta[0, 5] = 0.0
+        y = rng.poisson(1.5, size=items)
+        y[5] = 3
+        draws = PosteriorDraws(blocks=model.blocks,
+                               samples={"theta": theta, "beta": beta},
+                               size=draws_n)
+        assert draws_n * items > evaluate._SCORES_AT_ONCE
+        report = heldout_log_predictive(
+            model, draws, Dataset({"U": 1, "I": items, "y": [y.tolist()]}))
+        rates = np.einsum("suk,sik->si", theta, beta)
+        lgam = np.array([math.lgamma(k + 1.0) for k in y.tolist()])
+        with np.errstate(divide="ignore"):
+            logliks = y * np.log(rates) - rates - lgam
+        assert np.isneginf(logliks).sum() == 1
+        oracle = math.fsum(_log_mean_exp(logliks[:, n].tolist())
+                           for n in range(items)) / items
+        assert report.failed_index is None
+        assert report.mean_log_predictive == pytest.approx(oracle,
+                                                           rel=1e-12)
+
+    def test_permutation_invariance_exact_across_chunks(self):
+        # the points fill one full chunk and one of a single point, so a
+        # permutation moves points across the chunk boundary; with few
+        # points per chunk, a per-point sum that ran differently in a
+        # chunk of one point would show in the mean
+        rng = np.random.default_rng(6)
+        draws_n = 8000
+        step = evaluate._SCORES_AT_ONCE // draws_n
+        rates = rng.uniform(0.5, 4.0, draws_n).tolist()
+        x = rng.poisson(2.0, step + 1).tolist()
+        model, draws = _poisson_draws(rates)
+        base = heldout_log_predictive(model, draws, Dataset({"x": x}))
+        for _ in range(3):
+            _, shuffled = _poisson_draws(rng.permutation(rates))
+            moved = rng.permutation(x).tolist()
+            assert heldout_log_predictive(
+                model, shuffled, Dataset({"x": x})).mean_log_predictive \
+                == base.mean_log_predictive
+            assert heldout_log_predictive(
+                model, draws, Dataset({"x": moved})).mean_log_predictive \
+                == base.mean_log_predictive
 
     def test_shape_mismatch_is_config_error(self):
         rng = np.random.default_rng(0)

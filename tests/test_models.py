@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meanfield
 from meanfield import autodiff as ad
 from meanfield import zoo
 from meanfield.errors import ConfigurationError, ShapeError
@@ -241,10 +246,26 @@ def test_log_joint_invariant_to_block_order():
                       rel=1e-12)
 
 
+def test_small_instances_do_not_depend_on_the_hash_seed():
+    # two processes with different str-hash salts build the same data
+    path = os.pathsep.join([str(Path(meanfield.__file__).parents[1]),
+                            str(Path(__file__).parent)])
+    code = ("import json, util; from meanfield import zoo; "
+            "print(json.dumps([util.small_zoo_instance(n)[1].entries "
+            "for n in zoo.ZOO_NAMES]))")
+    outs = [subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path,
+                                    PYTHONHASHSEED=salt)).stdout
+            for salt in ("1", "2")]
+    assert outs[0] == outs[1]
+
+
 def test_non_finite_joint_is_returned_not_raised():
     m = zoo.make_model("poisson_exponential")
     data = Dataset({"x": [2]})
-    value = log_joint_unconstrained(m, data, [800.0])
+    with pytest.warns(RuntimeWarning):
+        value = log_joint_unconstrained(m, data, [800.0])
     assert not math.isfinite(value)
 
 

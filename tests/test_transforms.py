@@ -192,6 +192,101 @@ def test_boundary_values_rejected():
         tr.unconstrain(tr.PositiveOrdered(2), [-1.0, 2.0])
 
 
+# The scalar code that check_value and unconstrain replaced, one value at a
+# time with math.log and math.fsum, kept as an oracle for the array
+# expressions.
+
+def _scalar_inside(kind, theta):
+    if isinstance(kind, tr.Identity):
+        return True
+    if isinstance(kind, tr.LowerBound):
+        return all(x > kind.bound for x in theta)
+    if isinstance(kind, tr.UpperBound):
+        return all(x < kind.bound for x in theta)
+    if isinstance(kind, tr.Interval):
+        return all(kind.lower < x < kind.upper for x in theta)
+    if isinstance(kind, tr.Simplex):
+        return (abs(math.fsum(theta) - 1.0) <= 1e-8
+                and all(x > 0.0 for x in theta))
+    increasing = all(hi > lo for lo, hi in zip(theta, theta[1:]))
+    if isinstance(kind, tr.Ordered):
+        return increasing
+    return theta[0] > 0.0 and increasing
+
+
+def _scalar_unconstrain(kind, theta):
+    if isinstance(kind, tr.Identity):
+        return [float(x) for x in theta]
+    if isinstance(kind, tr.LowerBound):
+        return [math.log(x - kind.bound) for x in theta]
+    if isinstance(kind, tr.UpperBound):
+        return [math.log(kind.bound - x) for x in theta]
+    if isinstance(kind, tr.Interval):
+        return [math.log(x - kind.lower) - math.log(kind.upper - x)
+                for x in theta]
+    if isinstance(kind, tr.Simplex):
+        k = kind.size
+        rest = [0.0] * k
+        for i in range(k - 2, -1, -1):
+            rest[i] = rest[i + 1] + theta[i + 1]
+        return [math.log(theta[i]) - math.log(rest[i])
+                + math.log(float(k - 1 - i)) for i in range(k - 1)]
+    first = [float(theta[0])] if isinstance(kind, tr.Ordered) \
+        else [math.log(theta[0])]
+    return first + [math.log(hi - lo) for lo, hi in zip(theta, theta[1:])]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_unconstrain_matches_scalar_formulas_on_stacked_rows(kind):
+    rng = np.random.default_rng(12)
+    zeta = rng.normal(0.0, 2.0, (7, tr.unconstrained_dim(kind)))
+    theta, _ = tr.constrain(kind, zeta)
+    expected = [z for row in theta.tolist()
+                for z in _scalar_unconstrain(kind, row)]
+    got = tr.unconstrain(kind, theta)
+    assert isinstance(got, list)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_check_value_on_stacked_rows_raises_iff_a_row_is_outside(kind):
+    rng = np.random.default_rng(13)
+    n = tr.unconstrained_dim(kind)
+    outcomes = set()
+    for _ in range(200):
+        theta, _ = tr.constrain(kind, rng.normal(0.0, 2.0, (5, n)))
+        theta = theta.copy()
+        # overwrite a few components with boundary, outside, tied or
+        # non-finite values
+        for _ in range(int(rng.integers(0, 3))):
+            r, j = rng.integers(0, 5), rng.integers(0, theta.shape[1])
+            theta[r, j] = rng.choice(
+                [0.0, -1.0, 1.0, 4.0, 7.0, -3.0, math.nan, math.inf,
+                 theta[r, j - 1], theta[r, j]])
+        outside = not all(_scalar_inside(kind, row)
+                          for row in theta.tolist())
+        try:
+            tr.check_value(kind, theta)
+            raised = False
+        except DomainError:
+            raised = True
+        assert raised == outside
+        outcomes.add(raised)
+    assert outcomes == ({False} if isinstance(kind, tr.Identity)
+                        else {False, True})
+
+
+def test_check_value_names_kind_and_first_offending_value():
+    rows = [[1.0, 2.0], [3.0, -4.0], [-5.0, 1.0]]
+    with pytest.raises(DomainError, match=r"LowerBound.*value -4\.0 "):
+        tr.check_value(tr.LowerBound(0.0, 2), rows)
+    with pytest.raises(DomainError, match=r"^Ordered.*component -4\.0 "):
+        tr.check_value(tr.Ordered(2), rows)
+    with pytest.raises(DomainError,
+                       match=r"PositiveOrdered.*first component -5\.0 "):
+        tr.check_value(tr.PositiveOrdered(2), rows)
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         tr.constrain(tr.Simplex(3), [0.0, 0.0, 0.0])
@@ -261,6 +356,16 @@ class TestBlockSpec:
         zeta = list(rng.normal(0, 1, b.unconstrained_size))
         value, _ = b.constrain(zeta)
         assert np.allclose(b.unconstrain(value), zeta, atol=1e-10)
+
+    def test_unconstrain_rejects_wrong_shape(self):
+        b = tr.BlockSpec("beta", tr.LowerBound(0.0, 2), rows=3)
+        with pytest.raises(ShapeError):
+            b.unconstrain(np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            b.unconstrain(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            tr.BlockSpec("lam", tr.LowerBound(0.0), scalar=True).unconstrain(
+                [1.0, 2.0])
 
     def test_scalar_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Shared test helpers: independent numeric oracles and small instances."""
 
+import zlib
+
 import numpy as np
 
 from meanfield import densities as dens
@@ -58,7 +60,8 @@ def toy_elbo(mu, omega):
 
 def small_zoo_instance(name):
     """A deliberately small dataset + model for gradient checking."""
-    rng = np.random.default_rng(abs(hash(name)) % (2 ** 32))
+    # crc32, not hash(): str hashes are salted per process
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     if name == "poisson_exponential":
         data, _ = zoo.simulate_poisson_exponential(rng, n=5)
         return zoo.model_for_data(name, data, {}), data
