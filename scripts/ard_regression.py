@@ -32,7 +32,7 @@ def main():
     x, y = data["x"], data["y"]
     train = Dataset({"N": args.n, "D": args.d,
                      "x": x[:args.n], "y": y[:args.n]})
-    ho_x, ho_y = np.asarray(x[args.n:]), np.asarray(y[args.n:])
+    ho_x, ho_y = x[args.n:], y[args.n:]
     active = truth["active"]
 
     model = model_for_data("linreg_ard", train, {})
@@ -47,7 +47,7 @@ def main():
     w_mean = draws.samples["w"].mean(axis=0)
     abs_w = np.abs(w_mean)
 
-    xtr, ytr = np.asarray(train["x"]), np.asarray(train["y"])
+    xtr, ytr = train["x"], train["y"]
     w_ridge = np.linalg.solve(xtr.T @ xtr + np.eye(args.d), xtr.T @ ytr)
     rmse_vi = np.sqrt(np.mean((ho_x @ w_mean - ho_y) ** 2))
     rmse_ridge = np.sqrt(np.mean((ho_x @ w_ridge - ho_y) ** 2))

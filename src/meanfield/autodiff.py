@@ -4,8 +4,12 @@ A :class:`Graph` records one node per array operation. A node's value is a
 numpy array (a float is a 0-d value), so an operation over N observations
 is one node, not N. Nodes are stored in topological order (every operand
 index is strictly smaller than the node's own index), so a single reverse
-sweep propagates adjoints. Graphs are cheap to build and are rebuilt for
-every evaluation; nothing is retained or reused between evaluations.
+sweep propagates adjoints. A node is one tuple in ``Graph.nodes``: its
+value, its operand indices and its vjp. It holds no :class:`Var`, so a Var
+refers to its graph but never the reverse, and a dropped tape is freed by
+reference counting, not left to the cyclic collector. Graphs are cheap to
+build and are rebuilt for every evaluation; nothing is retained or reused
+between evaluations.
 
 Primitives broadcast as numpy does: arithmetic (the :class:`Var`
 operators), the elementwise :func:`exp`, :func:`log`, :func:`sqrt`,
@@ -54,59 +58,45 @@ __all__ = [
     "dot",
 ]
 
-LEAF = "leaf"
-
-
 class Graph:
     """Append-only record of array operations (the tape).
 
     A graph is single-owner: it is mutated only by the code building it and
     is never shared mid-build. Parallel evaluation means one graph per
-    worker, not a shared one. Nodes other than leaves are appended by the
-    primitives. Node ``i`` holds its op name ``ops[i]``, operand node
-    indices ``args[i]``, value ``vals[i]`` and ``vjps[i]``, which maps the
-    node's adjoint to one adjoint per operand in ``args[i]``.
+    worker, not a shared one. Node ``i`` is the tuple ``nodes[i]`` of its
+    value, its operand node indices and its vjp, which maps the node's
+    adjoint to one adjoint per operand; a leaf has no operands and a vjp of
+    None. Nodes other than leaves are appended by the primitives.
     """
 
-    __slots__ = ("ops", "args", "vals", "vjps", "_appends")
+    __slots__ = ("nodes",)
 
     def __init__(self):
-        self.ops: list[str] = []
-        self.args: list[tuple] = []
-        self.vals: list = []
-        self.vjps: list = []
-        # bound appends: graph building is the hot path of every gradient
-        self._appends = (self.ops.append, self.args.append,
-                         self.vals.append, self.vjps.append)
+        self.nodes: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self.vals)
+        return len(self.nodes)
 
     def elements(self) -> int:
         """Array elements held by the nodes: the size of the work a build
         and a sweep do, which a node count is not, since one node may
         hold one value or N."""
         total = 0
-        for v in self.vals:
+        for v, _, _ in self.nodes:
             total += getattr(v, "size", 1)
         return total
 
-    def _push(self, op: str, args: tuple, val, vjp) -> "Var":
-        i = len(self.vals)
-        add_op, add_args, add_val, add_vjp = self._appends
-        add_op(op)
-        add_args(args)
-        add_val(val)
-        add_vjp(vjp)
-        return Var(self, i, val)
+    def _push(self, args: tuple, val, vjp) -> "Var":
+        nodes = self.nodes
+        nodes.append((val, args, vjp))
+        return Var(self, len(nodes) - 1, val)
 
     def leaf(self, value) -> "Var":
         """Append a leaf node holding ``value``, a finite float or array."""
         value = np.array(value, dtype=float)
         if np.count_nonzero(np.isfinite(value)) != value.size:
             raise DomainError(f"leaf value must be finite, got {value!r}")
-        return self._push(LEAF, (), float(value) if value.ndim == 0 else value,
-                          None)
+        return self._push((), float(value) if value.ndim == 0 else value, None)
 
     # -- reverse sweep --------------------------------------------------
 
@@ -115,14 +105,15 @@ class Graph:
         output does not depend on."""
         if output.graph is not self:
             raise ValueError("output does not belong to this graph")
-        args, vjps = self.args, self.vjps
-        adj: list = [None] * len(self.vals)
+        nodes = self.nodes
+        adj: list = [None] * len(nodes)
         adj[output.i] = np.ones(output.shape) if output.shape else 1.0
         for i in range(output.i, -1, -1):
             a = adj[i]
-            if a is None or vjps[i] is None:
+            _, args, vjp = nodes[i]
+            if a is None or vjp is None:
                 continue
-            for j, d in zip(args[i], vjps[i](a)):
+            for j, d in zip(args, vjp(a)):
                 prev = adj[j]
                 adj[j] = d if prev is None else prev + d
         return adj
@@ -162,15 +153,14 @@ class Var:
                 out[key] = g
             return (out,)
 
-        return self.graph._push("index", (self.i,), x[key], vjp)
+        return self.graph._push((self.i,), x[key], vjp)
 
     def reshape(self, *new_shape):
         if len(new_shape) == 1:
             new_shape = new_shape[0]
         src = self.shape
         # [()] makes a 0-d result a numpy scalar, which computes faster
-        return self.graph._push("reshape", (self.i,),
-                                self.val.reshape(new_shape)[()],
+        return self.graph._push((self.i,), self.val.reshape(new_shape)[()],
                                 lambda g: (np.asarray(g).reshape(src),))
 
     def __add__(self, other):
@@ -204,7 +194,7 @@ class Var:
         return power(other, self)
 
     def __neg__(self):
-        return self.graph._push("neg", (self.i,), -self.val, lambda g: (-g,))
+        return self.graph._push((self.i,), -self.val, lambda g: (-g,))
 
 
 def value(x):
@@ -264,9 +254,9 @@ def _unbroadcast(g, like):
     return g
 
 
-def node(op: str, operands: Sequence, out, partials: Sequence):
-    """``out``, the value of ``op(*operands)``, recorded as one node when
-    an operand is a Var (and returned as it is otherwise).
+def node(operands: Sequence, out, partials: Sequence):
+    """``out``, the value of a function of ``operands``, recorded as one
+    node when an operand is a Var (and returned as it is otherwise).
 
     ``partials[k](g)`` maps the node's adjoint ``g`` to the adjoint of
     operand k in the broadcast shape of ``out``. The sweep calls it for Var
@@ -288,21 +278,21 @@ def node(op: str, operands: Sequence, out, partials: Sequence):
             rules.append((partial, x.val))
     if graph is None:
         return out
-    return graph._push(op, tuple(parents), out,
+    return graph._push(tuple(parents), out,
                        lambda g: [_unbroadcast(d(g), v) for d, v in rules])
 
 
 def _add(x, y):
-    return node("add", (x, y), value(x) + value(y), (_same, _same))
+    return node((x, y), value(x) + value(y), (_same, _same))
 
 
 def _sub(x, y):
-    return node("sub", (x, y), value(x) - value(y), (_same, np.negative))
+    return node((x, y), value(x) - value(y), (_same, np.negative))
 
 
 def _mul(x, y):
     vx, vy = value(x), value(y)
-    return node("mul", (x, y), vx * vy, (lambda g: g * vy, lambda g: g * vx))
+    return node((x, y), vx * vy, (lambda g: g * vy, lambda g: g * vx))
 
 
 def _div(x, y):
@@ -310,8 +300,7 @@ def _div(x, y):
     if _any(vy == 0.0):
         raise DomainError("div: divisor is 0")
     out = vx / vy
-    return node("div", (x, y), out, (lambda g: g / vy,
-                                     lambda g: -g * out / vy))
+    return node((x, y), out, (lambda g: g / vy, lambda g: -g * out / vy))
 
 
 def _same(g):
@@ -323,8 +312,8 @@ def power(x, y):
     if _any(vx <= 0.0):
         raise DomainError(f"pow: base must be > 0, got {np.min(vx)}")
     out = np.power(vx, vy)
-    return node("pow", (x, y), out, (lambda g: g * vy * out / vx,
-                                     lambda g: g * out * np.log(vx)))
+    return node((x, y), out, (lambda g: g * vy * out / vx,
+                              lambda g: g * out * np.log(vx)))
 
 
 # -- elementwise functions ----------------------------------------------------
@@ -332,15 +321,15 @@ def power(x, y):
 # A unary primitive tests ``type(x) is Var`` once: a Var operand appends a
 # node to its graph, anything else is computed directly.
 
-def _unary(op, x, out, partial):
-    return x.graph._push(op, (x.i,), out, lambda g: (partial(g),))
+def _unary(x, out, partial):
+    return x.graph._push((x.i,), out, lambda g: (partial(g),))
 
 
 def exp(x):
     if type(x) is not Var:
         return np.exp(x)
     out = np.exp(x.val)
-    return _unary("exp", x, out, lambda g: g * out)
+    return _unary(x, out, lambda g: g * out)
 
 
 def _check_positive(op, v):
@@ -353,7 +342,7 @@ def log(x):
     _check_positive("log", v)
     if type(x) is not Var:
         return np.log(v)
-    return _unary("log", x, np.log(v), lambda g: g / v)
+    return _unary(x, np.log(v), lambda g: g / v)
 
 
 def sqrt(x):
@@ -363,7 +352,7 @@ def sqrt(x):
     if type(x) is not Var:
         return np.sqrt(v)
     out = np.sqrt(v)
-    return _unary("sqrt", x, out, lambda g: 0.5 * g / out)
+    return _unary(x, out, lambda g: 0.5 * g / out)
 
 
 def _logistic(v):
@@ -377,7 +366,7 @@ def logistic(x):
     if type(x) is not Var:
         return _logistic(x)
     out = _logistic(x.val)
-    return _unary("logistic", x, out, lambda g: g * out * (1.0 - out))
+    return _unary(x, out, lambda g: g * out * (1.0 - out))
 
 
 def softplus(x):
@@ -385,8 +374,7 @@ def softplus(x):
     if type(x) is not Var:
         return np.logaddexp(0.0, x)
     v = x.val
-    return _unary("softplus", x, np.logaddexp(0.0, v),
-                  lambda g: g * _logistic(v))
+    return _unary(x, np.logaddexp(0.0, v), lambda g: g * _logistic(v))
 
 
 def _lgamma1(v: float) -> float:
@@ -416,7 +404,7 @@ def log_gamma(x):
         from scipy.special import digamma
         return g * digamma(v)
 
-    return _unary("log_gamma", x, _lgamma(v), partial)
+    return _unary(x, _lgamma(v), partial)
 
 
 # -- reductions and structure -------------------------------------------------
@@ -433,8 +421,7 @@ def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
             return (np.full(src, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), src),)
 
-    return x.graph._push("sum", (x.i,), np.add.reduce(x.val, axis=axis),
-                         vjp)
+    return x.graph._push((x.i,), np.add.reduce(x.val, axis=axis), vjp)
 
 
 def _lse(v, axis):
@@ -460,7 +447,7 @@ def log_sum_exp(x, axis=-1):
         w = np.where(np.isfinite(o), np.exp(v - o), 0.0)
         return (np.expand_dims(g, axis) * w,)
 
-    return x.graph._push("log_sum_exp", (x.i,), out, vjp)
+    return x.graph._push((x.i,), out, vjp)
 
 
 def cumsum(x, axis=-1):
@@ -470,21 +457,21 @@ def cumsum(x, axis=-1):
     def vjp(g):
         return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
 
-    return x.graph._push("cumsum", (x.i,), np.cumsum(x.val, axis=axis), vjp)
+    return x.graph._push((x.i,), np.cumsum(x.val, axis=axis), vjp)
 
 
 def concat(xs: Sequence, axis=-1):
     """Join arrays and Vars along an existing axis."""
     vals = [value(x) for x in xs]
     cuts = np.cumsum([v.shape[axis] for v in vals])[:-1]
-    return node("concat", xs, np.concatenate(vals, axis=axis),
+    return node(xs, np.concatenate(vals, axis=axis),
                 [lambda g, k=k: np.split(g, cuts, axis=axis)[k]
                  for k in range(len(xs))])
 
 
 def stack(xs: Sequence):
     """Stack equal-shape values along a new leading axis."""
-    return node("stack", xs, np.stack([value(x) for x in xs]),
+    return node(xs, np.stack([value(x) for x in xs]),
                 [lambda g, k=k: g[k] for k in range(len(xs))])
 
 

@@ -49,7 +49,7 @@ def normal(x, loc, scale):
     _positive(scale, "normal", "scale")
     xv, mv, sv = ad.value(x), ad.value(loc), ad.value(scale)
     z = (xv - mv) / sv
-    return ad.node("normal", (x, loc, scale),
+    return ad.node((x, loc, scale),
                    -_HALF_LOG_2PI - np.log(sv) - 0.5 * (z * z),
                    (lambda g: -g * z / sv,
                     lambda g: g * z / sv,
@@ -62,7 +62,7 @@ def lognormal(x, loc, scale):
     xv, mv, sv = ad.value(x), ad.value(loc), ad.value(scale)
     lx = np.log(xv)
     z = (lx - mv) / sv
-    return ad.node("lognormal", (x, loc, scale),
+    return ad.node((x, loc, scale),
                    -lx - np.log(sv) - _HALF_LOG_2PI - 0.5 * (z * z),
                    (lambda g: -g * (1.0 + z / sv) / xv,
                     lambda g: g * z / sv,
@@ -92,7 +92,7 @@ def exponential(x, rate):
     if not _holds(v >= 0.0):
         raise DomainError(f"exponential: value must be >= 0, got {np.min(v)}")
     r = ad.value(rate)
-    return ad.node("exponential", (x, rate), np.log(r) - r * v,
+    return ad.node((x, rate), np.log(r) - r * v,
                    (lambda g: -g * r, lambda g: g * (1.0 / r - v)))
 
 
@@ -123,8 +123,14 @@ def poisson(k, rate):
             f"poisson: count must be a nonnegative integer, got {k!r}")
     _positive(rate, "poisson", "rate")
     r = ad.value(rate)
-    return ad.node("poisson", (rate,),
-                   k * np.log(r) - r - ad.log_gamma(k + 1.0),
+    finite = r < math.inf
+    if _holds(finite):
+        out = k * np.log(r) - r
+    else:
+        # every count has probability 0 at an infinite rate
+        safe = np.where(finite, r, 1.0)
+        out = np.where(finite, k * np.log(safe) - safe, -math.inf)
+    return ad.node((rate,), out - ad.log_gamma(k + 1.0),
                    (lambda g: g * (k / r - 1.0),))
 
 
@@ -138,7 +144,7 @@ def bernoulli_logit(y, logit_p):
     # for y = 0, stable at large |t|
     sign = 1.0 - 2.0 * y
     u = sign * ad.value(logit_p)
-    return ad.node("bernoulli_logit", (logit_p,), -ad.softplus(u),
+    return ad.node((logit_p,), -ad.softplus(u),
                    (lambda g: -g * sign * ad.logistic(u),))
 
 

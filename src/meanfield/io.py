@@ -1,7 +1,8 @@
 """Dataset ingestion and result serialization.
 
 Datasets are JSON objects mapping names to numbers, flat arrays, or
-row-major arrays-of-arrays; integer-valued entries keep integer type.
+row-major arrays-of-arrays; :class:`Dataset` turns each entry into a numpy
+array, int64 when every element is an integer.
 Results are written as two CSV files (posterior samples and the
 optimization trace) plus a JSON manifest that echoes everything needed to
 reproduce the run. Floats are printed with 17 significant digits, which
@@ -23,44 +24,8 @@ __all__ = ["load_dataset", "RunManifest", "write_samples_csv",
            "write_diagnostics_csv", "write_manifest", "write_outputs"]
 
 
-def _check_scalar(name, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ShapeError(
-            f"dataset entry {name!r}: element {v!r} is not a number")
-    return v
-
-
-def _normalize_entry(name: str, value):
-    if isinstance(value, list):
-        if not value:
-            return []
-        if all(isinstance(row, list) for row in value):
-            width = len(value[0])
-            for row in value:
-                if len(row) != width:
-                    raise ShapeError(
-                        f"dataset entry {name!r}: ragged rows "
-                        f"({len(row)} vs {width})")
-                for v in row:
-                    _check_scalar(name, v)
-            if all(isinstance(v, int) and not isinstance(v, bool)
-                   for row in value for v in row):
-                return [[int(v) for v in row] for row in value]
-            return [[float(v) for v in row] for row in value]
-        if any(isinstance(row, list) for row in value):
-            raise ShapeError(
-                f"dataset entry {name!r}: mixes scalars and rows")
-        for v in value:
-            _check_scalar(name, v)
-        if all(isinstance(v, int) and not isinstance(v, bool)
-               for v in value):
-            return [int(v) for v in value]
-        return [float(v) for v in value]
-    return _check_scalar(name, value)
-
-
 def load_dataset(path) -> Dataset:
-    """Read a JSON dataset, validating shapes and preserving int typing."""
+    """Read a JSON dataset; :class:`Dataset` checks and converts it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -73,9 +38,7 @@ def load_dataset(path) -> Dataset:
             f"{exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ShapeError(f"{path}: top level must be a JSON object")
-    entries = {name: _normalize_entry(name, value)
-               for name, value in raw.items()}
-    return Dataset(entries)
+    return Dataset(raw)
 
 
 def write_samples_csv(draws: PosteriorDraws, path) -> None:

@@ -15,12 +15,17 @@ is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
 index array (``arange(N)`` for the full data, the batch for a minibatch)
 returns one term per index; with an int ``idx`` it returns that single
 term.
+
+A :class:`Dataset` checks and converts each entry to a numpy array once,
+when it is built, whether it comes from JSON or from code; evaluators read
+``data[name]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,31 +43,65 @@ __all__ = [
 ]
 
 
+def _entry_array(name: str, value) -> np.ndarray:
+    """``value`` as a numpy array of ints or floats with at most 2 axes."""
+    def error(problem):
+        return ShapeError(f"dataset entry {name!r}: {problem}")
+
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # what numpy raises for rows that do not stack
+        if all(isinstance(row, (list, tuple, np.ndarray)) for row in value):
+            raise error("ragged rows") from None
+        raise error("mixes scalars and rows") from None
+    if arr.ndim > 2:
+        raise error(f"nested {arr.ndim} deep; at most 2 levels are allowed")
+    if not isinstance(value, np.ndarray):
+        # one pass in C over the elements: numpy would read a bool as 1,
+        # and an int beyond int64 as a float or an object
+        flat = (chain.from_iterable(value) if arr.ndim == 2
+                else value if arr.ndim else (value,))
+        types = set(map(type, flat))
+        for t in types - {int, float}:
+            if not issubclass(t, (np.integer, np.floating)):
+                raise error(f"element of type {t.__name__} is not a number")
+        if types == {int} and arr.dtype != np.int64:
+            raise error("integer outside the int64 range")
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{arr.dtype} elements are not ints or floats")
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Named data entries: scalars, flat lists, or row-major nested lists."""
+    """Named numeric data, checked and converted once, when it is built.
+
+    ``entries`` maps names to numbers, flat lists, lists of equal-length
+    rows, or int or float numpy arrays of at most two axes, and is kept as
+    given. ``data[name]`` is the entry as a numpy array; a list of ints
+    becomes int64, any other list float64. A ragged entry, one that mixes
+    scalars with rows or nests deeper, or one holding a bool, a string or
+    an int beyond int64 raises :class:`ShapeError` naming it.
+    """
 
     entries: Mapping[str, Any]
-    _arrays: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _arrays: dict = field(init=False, repr=False, compare=False)
 
-    def array(self, name: str) -> np.ndarray:
-        """Entry ``name`` as a numpy array, converted once per dataset."""
-        arr = self._arrays.get(name)
-        if arr is None:
-            arr = self._arrays[name] = np.asarray(self[name])
-        return arr
+    def __post_init__(self):
+        object.__setattr__(self, "_arrays", {
+            name: _entry_array(name, value)
+            for name, value in self.entries.items()})
 
-    def __getitem__(self, name: str):
+    def __getitem__(self, name: str) -> np.ndarray:
         try:
-            return self.entries[name]
+            return self._arrays[name]
         except KeyError:
             raise ConfigurationError(
                 f"dataset is missing entry {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         # without it, ``in`` would fall back to ``self[0]``, which raises
-        return name in self.entries
+        return name in self._arrays
 
 
 @dataclass(frozen=True)

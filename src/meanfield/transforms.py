@@ -201,8 +201,8 @@ def _require(kind, inside, values, message):
 
 
 def check_value(kind: TransformKind, theta) -> None:
-    """Raise :class:`DomainError` unless ``theta`` lies strictly inside
-    the support of ``kind`` (boundaries are rejected).
+    """Raise :class:`DomainError` unless ``theta`` is finite and lies
+    strictly inside the support of ``kind`` (boundaries are rejected).
 
     ``theta`` has the kind's constrained dimension as its last axis;
     leading axes are rows, each checked on its own.
@@ -210,6 +210,7 @@ def check_value(kind: TransformKind, theta) -> None:
     theta = np.asarray(theta, dtype=float)
     _check_len(kind, theta.shape[-1] if theta.ndim else None,
                constrained_dim(kind))
+    _require(kind, np.isfinite(theta), theta, "value {} not finite")
     if isinstance(kind, Identity):
         return
     if isinstance(kind, LowerBound):

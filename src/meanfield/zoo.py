@@ -56,7 +56,7 @@ def _build_poisson_exponential(hypers, dims):
         return dens.exponential(v["lam"], rate)
 
     def loglik(v, data, idx):
-        return dens.poisson(data.array("x")[idx], v["lam"])
+        return dens.poisson(data["x"][idx], v["lam"])
 
     return ModelDefinition(
         name="poisson_exponential",
@@ -80,8 +80,8 @@ def _build_linreg_ard(hypers, dims):
                                      ad.sqrt(sigma2) / ad.sqrt(alpha))))
 
     def loglik(v, data, idx):
-        mean = ad.dot(data.array("x")[idx], v["w"])
-        return dens.normal(data.array("y")[idx], mean, ad.sqrt(v["sigma2"]))
+        mean = ad.dot(data["x"][idx], v["w"])
+        return dens.normal(data["y"][idx], mean, ad.sqrt(v["sigma2"]))
 
     return ModelDefinition(
         name="linreg_ard",
@@ -116,16 +116,16 @@ def _build_hier_logistic(hypers, dims):
 
     def loglik(v, data, idx):
         beta = v["beta"]
-        female = data.array("female")[idx]
-        black = data.array("black")[idx]
+        female = data["female"][idx]
+        black = data["black"][idx]
         yhat = (beta[0]
                 + beta[1] * black
                 + beta[2] * female
                 + beta[4] * (female * black)
-                + beta[3] * data.array("v_prev_full")[idx])
+                + beta[3] * data["v_prev_full"][idx])
         for g in _HIER_GROUPS:
-            yhat = yhat + v[g][data.array(_HIER_INDEX[g])[idx]]
-        return dens.bernoulli_logit(data.array("y")[idx], yhat)
+            yhat = yhat + v[g][data[_HIER_INDEX[g]][idx]]
+        return dens.bernoulli_logit(data["y"][idx], yhat)
 
     blocks = tuple(BlockSpec(g, Identity(sizes[g])) for g in _HIER_GROUPS)
     blocks = blocks + (BlockSpec("beta", Identity(5)),)
@@ -143,13 +143,12 @@ def _build_hier_logistic(hypers, dims):
 
 
 def _nmf_num_observations(data):
-    y = data["y"]
-    return len(y) * (len(y[0]) if y else 0)
+    return data["y"].size
 
 
 def _nmf_loglik(v, data, idx):
     # observation idx is cell divmod(idx, I) of the U x I count matrix
-    y = data.array("y")
+    y = data["y"]
     u, i = np.divmod(idx, y.shape[1])
     return dens.poisson(y[u, i], ad.dot(v["theta"][u], v["beta"][i]))
 
@@ -212,7 +211,7 @@ def _build_gmm(hypers, dims):
     def loglik(v, data, idx):
         # (..., 1, D) points against (K, D) components: log theta_k plus
         # the diagonal normal density, log-sum-exp over k
-        y = data.array("y")[idx][..., None, :]
+        y = data["y"][idx][..., None, :]
         comps = (ad.log(v["theta"])
                  + ad.sum(dens.normal(y, v["mu"], v["sigma"]), axis=-1))
         return ad.log_sum_exp(comps, axis=-1)
@@ -248,7 +247,7 @@ _ZOO: dict[str, _ZooEntry] = {
         _build_linreg_ard,
         {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0},
         ("D",), {},
-        lambda data: {"D": len(data["x"][0])}),
+        lambda data: {"D": data["x"].shape[1]}),
     "hier_logistic": _ZooEntry(
         _build_hier_logistic,
         {}, _HIER_DIMS, {},
@@ -257,17 +256,17 @@ _ZOO: dict[str, _ZooEntry] = {
         _build_gamma_poisson_nmf,
         {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
         ("U", "I", "K"), {"K": 10},
-        lambda data: {"U": len(data["y"]), "I": len(data["y"][0])}),
+        lambda data: {"U": data["y"].shape[0], "I": data["y"].shape[1]}),
     "dirichlet_exponential_nmf": _ZooEntry(
         _build_dirichlet_exponential_nmf,
         {"alpha0": 1000.0, "lambda0": 0.1},
         ("U", "I", "K"), {"K": 10},
-        lambda data: {"U": len(data["y"]), "I": len(data["y"][0])}),
+        lambda data: {"U": data["y"].shape[0], "I": data["y"].shape[1]}),
     "gmm": _ZooEntry(
         _build_gmm,
         {"alpha0": 10000.0, "mu_sigma0": 0.1, "sigma_sigma0": 0.1},
         ("K", "D"), {"K": 10},
-        lambda data: {"D": len(data["y"][0])}),
+        lambda data: {"D": data["y"].shape[1]}),
 }
 _ZOO["gmm_minibatch"] = _ZOO["gmm"]  # the name subsampled runs use
 

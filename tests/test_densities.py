@@ -84,6 +84,18 @@ def test_poisson_mass_sums_to_one():
         assert abs(total - 1.0) <= 1e-12
 
 
+def test_poisson_at_infinite_rate_is_minus_inf():
+    # every count has probability 0 there, k = 0 included; the finite
+    # rates beside an infinite one keep their bits
+    k = np.array([0, 2, 0, 5])
+    rates = np.array([0.5, math.inf, math.inf, 3.0])
+    out = dens.poisson(k, rates)
+    assert out[1] == out[2] == -math.inf
+    finite = dens.poisson(k[[0, 3]], rates[[0, 3]])
+    assert out[[0, 3]].tolist() == finite.tolist()
+    assert dens.poisson(0, math.inf) == -math.inf
+
+
 def test_bernoulli_mass_sums_to_one():
     for logit in (-30.0, -2.0, 0.0, 1.5, 30.0):
         total = math.exp(dens.bernoulli_logit(0, logit)) + \

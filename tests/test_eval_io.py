@@ -70,6 +70,15 @@ class TestHeldoutLogPredictive:
         assert report.mean_log_predictive == -math.inf
         assert report.failed_index == 0
 
+    def test_infinite_rate_scores_zero_likelihood(self):
+        # lam = exp(zeta) overflows to inf above zeta 709.78: every count
+        # has probability 0 there, so only the finite draw contributes
+        model, draws = _poisson_draws([1.0, math.inf])
+        report = heldout_log_predictive(model, draws, Dataset({"x": [2]}))
+        oracle = math.log(0.5) + _poisson_lpmf(2, 1.0)
+        assert report.mean_log_predictive == pytest.approx(oracle, abs=1e-12)
+        assert round(oracle, 4) == -2.3863
+
     def test_point_dependent_domain_error_scores_that_pair_only(self):
         # draw 0 gives held-out cell (0, 0) a Poisson rate of exactly 0,
         # and every other (draw, cell) pair a positive rate: only that
@@ -173,20 +182,67 @@ class TestHeldoutLogPredictive:
             heldout_log_predictive(model, draws, Dataset({"x": []}))
 
 
+# entries that are not int or float arrays of at most two axes, with the
+# words of the error each raises
+_BAD_ENTRIES = [
+    ([[1], [2, 3]], "ragged rows"),
+    ([[1, 2], 3], "mixes scalars and rows"),
+    ([1, True, 3], "bool is not a number"),
+    (True, "bool is not a number"),
+    (["a"], "not a number"),
+    ([2 ** 63], "int64 range"),
+    ([-1, 2 ** 63], "int64 range"),
+    ([[[1.0]]], "nested 3 deep"),
+]
+_BAD_IDS = ["ragged", "mixed", "bool_in_ints", "bool", "string",
+            "beyond_int64", "beyond_int64_signed", "three_levels"]
+
+
+class TestDataset:
+    @pytest.mark.parametrize("value,match", _BAD_ENTRIES, ids=_BAD_IDS)
+    def test_bad_entry_built_in_code_rejected(self, value, match):
+        with pytest.raises(ShapeError, match=f"'bad'.*{match}"):
+            Dataset({"N": 2, "bad": value})
+
+    def test_integer_entries_are_int64_others_float64(self):
+        data = Dataset({"N": 2, "x": [3, 5], "y": [1, 2.5],
+                        "z": [[1.0, 2.0]], "e": []})
+        assert data["N"].dtype == np.int64 and data["N"].shape == ()
+        assert data["x"].dtype == np.int64 and data["x"].tolist() == [3, 5]
+        assert data["y"].dtype == np.float64
+        assert data["z"].shape == (1, 2) and data["e"].shape == (0,)
+
+    def test_numpy_entries_accepted(self):
+        # a slice of another dataset's entry, as in C09
+        x = Dataset({"x": np.arange(6.0).reshape(3, 2)})["x"][:2]
+        k = np.array([1, 2], dtype=np.uint8)
+        data = Dataset({"x": x, "k": k})
+        assert data["x"] is x and data["k"] is k
+        for value in (np.array([True, False]), np.array(["a"])):
+            with pytest.raises(ShapeError, match="'b'.*not ints or floats"):
+                Dataset({"b": value})
+
+    def test_entries_kept_as_given(self):
+        entries = {"x": [3, 5]}
+        data = Dataset(entries)
+        assert data.entries is entries and "x" in data and "y" not in data
+
+
 class TestLoadDataset:
     def test_scalars_and_arrays(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text('{"N": 2, "x": [3, 5]}')
         data = load_dataset(p)
-        assert data["N"] == 2 and isinstance(data["N"], int)
-        assert data["x"] == [3, 5]
-        assert all(isinstance(v, int) for v in data["x"])
+        assert data["N"].shape == () and data["N"] == 2
+        assert data["N"].dtype == np.int64
+        assert data["x"].tolist() == [3, 5] and data["x"].dtype == np.int64
 
     def test_matrix(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text('{"y": [[1.0, 2.0], [3.0, 4.0]]}')
         data = load_dataset(p)
-        assert data["y"] == [[1.0, 2.0], [3.0, 4.0]]
+        assert data["y"].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert data["y"].dtype == np.float64
 
     def test_ragged_rejected(self, tmp_path):
         p = tmp_path / "d.json"
@@ -204,8 +260,8 @@ class TestLoadDataset:
         p = tmp_path / "d.json"
         p.write_text('{"x": [1, 2.5]}')
         data = load_dataset(p)
-        assert data["x"] == [1.0, 2.5]
-        assert all(isinstance(v, float) for v in data["x"])
+        assert data["x"].tolist() == [1.0, 2.5]
+        assert data["x"].dtype == np.float64
 
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "d.json"
@@ -220,6 +276,13 @@ class TestLoadDataset:
         p = tmp_path / "d.json"
         p.write_text('[1, 2]')
         with pytest.raises(ShapeError, match="object"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("value,match", _BAD_ENTRIES, ids=_BAD_IDS)
+    def test_bad_entry_rejected(self, tmp_path, value, match):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"N": 2, "bad": value}))
+        with pytest.raises(ShapeError, match=f"'bad'.*{match}"):
             load_dataset(p)
 
 

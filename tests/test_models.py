@@ -179,8 +179,8 @@ def test_gmm_tape_does_not_grow_with_data():
         g = ad.Graph()
         leaves = [g.leaf(z) for z in zeta]
         log_joint_unconstrained(model, d, leaves)
-        assert [i for i, op in enumerate(g.ops) if op == ad.LEAF] == \
-            [v.i for v in leaves]
+        assert [i for i, (_, _, vjp) in enumerate(g.nodes)
+                if vjp is None] == [v.i for v in leaves]
         sizes.append(len(g))
     assert model.num_observations(data) == 12
     assert sizes[0] == sizes[1]

@@ -197,6 +197,8 @@ def test_boundary_values_rejected():
 # expressions.
 
 def _scalar_inside(kind, theta):
+    if not all(math.isfinite(x) for x in theta):
+        return False
     if isinstance(kind, tr.Identity):
         return True
     if isinstance(kind, tr.LowerBound):
@@ -272,8 +274,21 @@ def test_check_value_on_stacked_rows_raises_iff_a_row_is_outside(kind):
             raised = True
         assert raised == outside
         outcomes.add(raised)
-    assert outcomes == ({False} if isinstance(kind, tr.Identity)
-                        else {False, True})
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("kind,theta", [
+    (tr.Identity(2), [math.nan, math.inf]),
+    (tr.LowerBound(0.0), [math.inf]),
+    (tr.UpperBound(0.0), [-math.inf]),
+    (tr.Ordered(3), [-math.inf, 0.0, 1.0]),
+    (tr.PositiveOrdered(3), [1.0, 2.0, math.inf]),
+], ids=str)
+def test_check_value_rejects_non_finite(kind, theta):
+    with pytest.raises(DomainError, match="not finite"):
+        tr.check_value(kind, theta)
+    with pytest.raises(DomainError, match="not finite"):
+        tr.unconstrain(kind, theta)
 
 
 def test_check_value_names_kind_and_first_offending_value():
