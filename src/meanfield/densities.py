@@ -123,13 +123,10 @@ def poisson(k, rate):
             f"poisson: count must be a nonnegative integer, got {k!r}")
     _positive(rate, "poisson", "rate")
     r = ad.value(rate)
+    # every count has probability 0 at an infinite rate
     finite = r < math.inf
-    if _holds(finite):
-        out = k * np.log(r) - r
-    else:
-        # every count has probability 0 at an infinite rate
-        safe = np.where(finite, r, 1.0)
-        out = np.where(finite, k * np.log(safe) - safe, -math.inf)
+    safe = np.where(finite, r, 1.0)
+    out = np.where(finite, k * np.log(safe) - safe, -math.inf)
     return ad.node((rate,), out - ad.log_gamma(k + 1.0),
                    (lambda g: g * (k / r - 1.0),))
 

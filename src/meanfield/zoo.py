@@ -142,6 +142,13 @@ def _build_hier_logistic(hypers, dims):
     )
 
 
+def _single_int(data, name):
+    if data[name].ndim != 0:
+        raise TypeError(f"{name} must be one integer, got shape "
+                        f"{data[name].shape}")
+    return int(data[name])
+
+
 def _nmf_num_observations(data):
     return data["y"].size
 
@@ -251,7 +258,7 @@ _ZOO: dict[str, _ZooEntry] = {
     "hier_logistic": _ZooEntry(
         _build_hier_logistic,
         {}, _HIER_DIMS, {},
-        lambda data: {n: int(data[n]) for n in _HIER_DIMS}),
+        lambda data: {n: _single_int(data, n) for n in _HIER_DIMS}),
     "gamma_poisson_nmf": _ZooEntry(
         _build_gamma_poisson_nmf,
         {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},

@@ -279,6 +279,15 @@ def test_model_for_data_infers_dims():
     assert m.block("w").kind.dim == 3
 
 
+def test_hier_logistic_size_given_as_a_row_rejected():
+    rng = np.random.default_rng(5)
+    data, _ = zoo.simulate_hier_logistic(rng, 25)
+    entries = dict(data.entries, n_state=[data.entries["n_state"]])
+    with pytest.raises(ConfigurationError,
+                       match="n_state must be one integer"):
+        zoo.model_for_data("hier_logistic", Dataset(entries), {})
+
+
 def test_duplicate_block_names_rejected():
     m = zoo.make_model("poisson_exponential")
     with pytest.raises(ConfigurationError, match="duplicate"):
