@@ -52,7 +52,9 @@ def main():
     rmse_vi = np.sqrt(np.mean((ho_x @ w_mean - ho_y) ** 2))
     rmse_ridge = np.sqrt(np.mean((ho_x @ w_ridge - ho_y) ** 2))
 
-    print(f"fit: {wall:.1f}s wall, final objective {trace.rows[-1][2]:.1f}")
+    status = (f"final objective {trace.rows[-1][2]:.1f}" if trace.rows
+              else "no objective evaluations recorded")
+    print(f"fit: {wall:.1f}s wall, {status}")
     print(f"mean |w|: active {abs_w[:active].mean():.4f}, "
           f"null {abs_w[active:].mean():.4f} "
           f"(ratio {abs_w[active:].mean() / abs_w[:active].mean():.4f})")

@@ -50,8 +50,10 @@ def main():
         key=lambda perm: sum(
             np.linalg.norm(fitted[p] - np.asarray(TRUE_MEANS[k]))
             for k, p in enumerate(perm)))
-    print(f"fit: {wall:.1f}s wall, {len(trace)} objective evaluations, "
-          f"final objective {trace.rows[-1][2]:.1f}")
+    status = (f"{len(trace)} objective evaluations, final objective "
+              f"{trace.rows[-1][2]:.1f}" if trace.rows
+              else "no objective evaluations recorded")
+    print(f"fit: {wall:.1f}s wall, {status}")
     for k, p in enumerate(best):
         err = np.linalg.norm(fitted[p] - np.asarray(TRUE_MEANS[k]))
         print(f"component {k}: true {TRUE_MEANS[k]} -> fitted "

@@ -202,14 +202,17 @@ class PosteriorDraws:
         return np.concatenate(parts, axis=1)
 
 
-def inverse_standardize(params: VariationalParams,
-                        eta: Sequence[float]) -> np.ndarray:
-    """Map a standardized draw back to the unconstrained space:
-    zeta_k = exp(omega_k) * eta_k + mu_k."""
+def inverse_standardize(params: VariationalParams, eta) -> np.ndarray:
+    """Map standardized draws back to the unconstrained space:
+    zeta_k = exp(omega_k) * eta_k + mu_k.
+
+    ``eta`` holds the coordinates on its last axis; leading axes are
+    draws, each mapped on its own (a row gives the same bits as mapping
+    it alone)."""
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != params.mu.shape:
+    if eta.shape[-1:] != params.mu.shape:
         raise ShapeError(
-            f"eta has length {eta.shape}, expected {params.mu.shape}")
+            f"eta has shape {eta.shape}, expected (..., {params.dim})")
     return np.exp(params.omega) * eta + params.mu
 
 
@@ -227,9 +230,10 @@ def _elbo_and_drops(model, data, params, n_samples, rng):
     values = []
     # a wild draw may overflow: it is dropped, not reported as a warning
     with np.errstate(all="ignore"):
-        for _ in range(n_samples):
-            zeta = inverse_standardize(params,
-                                       gen.standard_normal(params.dim))
+        # one (S, dim) draw holds the same numbers as S draws of dim
+        zetas = inverse_standardize(
+            params, gen.standard_normal((n_samples, params.dim)))
+        for zeta in zetas:
             try:
                 v = log_joint_unconstrained(model, data, zeta)
             except DomainError:
@@ -248,7 +252,8 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     """Monte Carlo objective estimate (tape-free model evaluations).
 
     Averages the transformed log joint over draws from the current
-    approximation and adds the Gaussian entropy in closed form. Draws are
+    approximation and adds the Gaussian entropy in closed form. The draws
+    are taken and standardized as one ``(n_samples, dim)`` array, then
     evaluated one at a time, each as one array expression over the data.
     Draws whose evaluation is non-finite or out of domain are dropped (fit
     counts them in ``ElboTrace.elbo_draws_dropped``); if every draw fails,
@@ -296,7 +301,8 @@ def _counted_gradients(model, data, params, m, rng, batch):
         gen = np.random.Generator(np.random.PCG64(child))
         for attempt in range(1 + _MAX_REDRAWS):
             eta = gen.standard_normal(params.dim)
-            # inverse_standardize, with exp(omega) computed once
+            # inverse_standardize, with sigma = exp(omega) computed once and
+            # reused by the chain factor below
             zeta = sigma * eta + params.mu
             d_zeta, n = _gradient_sample(model, data, zeta, batch)
             elements += n
@@ -368,13 +374,9 @@ def fit(model: ModelDefinition, data: Dataset,
     through the N/B-scaled joint.
     """
     n_obs = model.num_observations(data)
-    if config.minibatch is not None:
-        if not model.subsample_ok:
-            raise ConfigurationError(
-                f"model {model.name} does not support subsampling")
-        if config.minibatch > n_obs:
-            raise ConfigurationError(
-                f"minibatch {config.minibatch} exceeds {n_obs} observations")
+    if config.minibatch is not None and config.minibatch > n_obs:
+        raise ConfigurationError(
+            f"minibatch {config.minibatch} exceeds {n_obs} observations")
     params = _initial_params(model.dim, config)
     trace = ElboTrace()
     opt_mu = OptState(model.dim, config.window)
@@ -434,8 +436,7 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
         raise ShapeError(
             f"params have dim {params.dim}, model needs {model.dim}")
     gen = _as_generator(rng)
-    eta = gen.standard_normal((size, params.dim))
-    zeta = np.exp(params.omega) * eta + params.mu
+    zeta = inverse_standardize(params, gen.standard_normal((size, params.dim)))
     # one array expression over all draws: a row of zeta per draw
     with np.errstate(all="ignore"):
         values, _ = constrain_blocks(model, zeta)

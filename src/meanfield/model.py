@@ -4,8 +4,10 @@ A :class:`ModelDefinition` couples an ordered list of constrained parameter
 blocks with two pure functions: a log prior over the constrained values and
 the log likelihood terms of a set of observations. The packed unconstrained
 vector of length ``model.dim`` is the coordinate system the optimizer works
-in; :func:`log_joint_unconstrained` adds the block Jacobian corrections so
-the result is the log joint density in those coordinates.
+in. A block is layout data (a name, a transform kind, rows, scalar);
+:func:`constrain_blocks` alone reads that layout, and
+:func:`log_joint_unconstrained` adds the block Jacobian corrections so the
+result is the log joint density in those coordinates.
 
 Evaluators must be deterministic given (dataset, values) and be array
 expressions that accept float arrays or tape values alike, which is what
@@ -14,7 +16,8 @@ objective estimates, and held-out scoring. The likelihood of a whole batch
 is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
 index array (``arange(N)`` for the full data, the batch for a minibatch)
 returns one term per index; with an int ``idx`` it returns that single
-term.
+term. The likelihood is the sum of those terms, so
+:func:`minibatch_log_joint` can subsample any model.
 
 A :class:`Dataset` checks and converts each entry to a numpy array once,
 when it is built, whether it comes from JSON or from code; evaluators read
@@ -31,8 +34,8 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import transforms as tr
 from .errors import ConfigurationError, ShapeError
-from .transforms import BlockSpec
 
 __all__ = [
     "Dataset",
@@ -113,16 +116,16 @@ class ModelDefinition:
     receive the constrained block values keyed by block name. ``idx`` is an
     int or a 1-D integer array of observation indices; the result is the
     term of that observation, or an array of one term per index.
-    ``subsample_ok`` marks models whose likelihood factorizes over the
-    observation index, which is what minibatch scaling requires.
+    The likelihood is the sum of the terms over all observations, so
+    scaling the sum over a uniformly drawn batch by N/B is unbiased for
+    every model: any model can be subsampled.
     """
 
     name: str
-    blocks: tuple[BlockSpec, ...]
+    blocks: tuple[tr.BlockSpec, ...]
     log_prior: Callable[[Mapping[str, Any], Dataset], Any]
     loglik_term: Callable[[Mapping[str, Any], Dataset, Any], Any]
     num_observations: Callable[[Dataset], int]
-    subsample_ok: bool = True
     hyperparams: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -136,7 +139,7 @@ class ModelDefinition:
         """Total unconstrained dimension (sum over blocks)."""
         return sum(b.unconstrained_size for b in self.blocks)
 
-    def block(self, name: str) -> BlockSpec:
+    def block(self, name: str) -> tr.BlockSpec:
         for b in self.blocks:
             if b.name == name:
                 return b
@@ -149,8 +152,12 @@ def constrain_blocks(model: ModelDefinition, zeta):
     ``zeta`` is a float array, a Var or a sequence of scalars (scalar tape
     leaves are stacked into one vector), with ``model.dim`` coordinates on
     its last axis; a leading axis, one row per posterior draw, is carried
-    into every value. Returns ``(values, log_det)`` where ``log_det`` is
-    the summed Jacobian correction over all blocks (and rows).
+    into every value. This is the one place the packed layout is read:
+    each block's slice is reshaped to ``(..., rows, k)`` for a per-row
+    block, mapped by :func:`transforms.constrain`, and reshaped to the
+    leading shape for a scalar block. Returns ``(values, log_det)`` where
+    ``log_det`` is the summed Jacobian correction over all blocks (and
+    rows), or None when every block is Identity, which has none.
     """
     zeta = ad.as_array(zeta)
     dims = zeta.shape
@@ -159,21 +166,28 @@ def constrain_blocks(model: ModelDefinition, zeta):
         raise ShapeError(
             f"model {model.name}: expected {dim} unconstrained "
             f"coordinates, got {dims[-1] if dims else None}")
+    lead = dims[:-1]
     values: dict[str, Any] = {}
     log_det = None
     offset = 0
     for b in model.blocks:
         n = b.unconstrained_size
         part = zeta if n == dim else zeta[..., offset:offset + n]
-        values[b.name], ld = b.constrain(part)
-        log_det = ld if log_det is None else log_det + ld
         offset += n
+        if b.rows is not None:
+            part = part.reshape(lead + (b.rows, tr.unconstrained_dim(b.kind)))
+        theta, ld = tr.constrain(b.kind, part)
+        values[b.name] = theta.reshape(lead) if b.scalar else theta
+        if not isinstance(b.kind, tr.Identity):  # its log_det is 0
+            log_det = ld if log_det is None else log_det + ld
     return values, log_det
 
 
 def _joint(model, data, zeta, idx, scale):
     values, log_det = constrain_blocks(model, zeta)
-    out = model.log_prior(values, data) + log_det
+    out = model.log_prior(values, data)
+    if log_det is not None:
+        out = out + log_det
     if len(idx):
         lik = ad.sum(model.loglik_term(values, data, idx))
         if scale is not None:
@@ -201,10 +215,6 @@ def minibatch_log_joint(model: ModelDefinition, data: Dataset,
     Scaling the batch likelihood by N/B makes the result an unbiased
     estimate of the full-data log joint under uniformly drawn batches.
     """
-    if not model.subsample_ok:
-        raise ConfigurationError(
-            f"model {model.name}: likelihood does not factorize over "
-            "observations; subsampling is not valid")
     total = model.num_observations(data)
     idx = np.asarray(batch)
     if idx.size == 0:

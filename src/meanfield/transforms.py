@@ -273,12 +273,14 @@ def unconstrain(kind: TransformKind, theta) -> list[float]:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One named parameter block: a transform kind plus its layout.
+    """One named parameter block: a transform kind plus its layout, as
+    data. ``model.constrain_blocks`` applies it; a value's packed
+    coordinates are ``unconstrain(block.kind, value)``.
 
     ``rows=None`` means the kind is applied once (a scalar or a single
     vector); ``rows=r`` applies the kind independently to each of ``r``
     rows. ``scalar=True`` marks a one-dimensional block whose constrained
-    value is exposed as a bare scalar instead of a length-1 list.
+    value is exposed as a bare scalar instead of a length-1 vector.
     """
 
     name: str
@@ -307,37 +309,3 @@ class BlockSpec:
         return [f"{self.name}.{r}.{j}"
                 for r in range(1, self.rows + 1)
                 for j in range(1, d + 1)]
-
-    def constrain(self, zeta):
-        """Constrain a packed slice; returns ``(value, log_det)``.
-
-        The last axis of ``zeta`` holds the block's unconstrained
-        coordinates; a leading axis (one per posterior draw, say) is
-        carried through to the value.
-        """
-        zeta = ad.as_array(zeta)
-        dims = zeta.shape
-        if not dims or dims[-1] != self.unconstrained_size:
-            raise ShapeError(
-                f"block {self.name}: expected {self.unconstrained_size} "
-                f"unconstrained coordinates, got {dims[-1] if dims else None}")
-        if self.rows is not None:
-            zeta = zeta.reshape(dims[:-1] + (self.rows,
-                                             unconstrained_dim(self.kind)))
-        theta, log_det = constrain(self.kind, zeta)
-        if self.scalar:
-            theta = theta.reshape(dims[:-1])
-        return theta, log_det
-
-    def unconstrain(self, value) -> list[float]:
-        """Pack a constrained value back into unconstrained coordinates."""
-        d = constrained_dim(self.kind)
-        shape = (d,) if self.rows is None else (self.rows, d)
-        if self.scalar:
-            shape = ()
-        theta = np.asarray(value, dtype=float)
-        if theta.shape != shape:
-            raise ShapeError(
-                f"block {self.name}: expected a value of shape {shape}, "
-                f"got {theta.shape}")
-        return unconstrain(self.kind, theta.reshape(-1, d))

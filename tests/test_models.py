@@ -12,9 +12,10 @@ import meanfield
 from meanfield import autodiff as ad
 from meanfield import zoo
 from meanfield.errors import ConfigurationError, ShapeError
-from meanfield.model import Dataset, log_joint_unconstrained, \
-    minibatch_log_joint, constrain_blocks
-from meanfield.transforms import LowerBound, PositiveOrdered, Simplex
+from meanfield.model import Dataset, ModelDefinition, \
+    log_joint_unconstrained, minibatch_log_joint, constrain_blocks
+from meanfield.transforms import BlockSpec, Identity, LowerBound, \
+    PositiveOrdered, Simplex
 from util import central_diff, gaussian_toy, EMPTY_DATA, \
     small_zoo_instance as _small_instance
 
@@ -186,6 +187,44 @@ def test_gmm_tape_does_not_grow_with_data():
     assert sizes[0] == sizes[1]
 
 
+def _two_block_model(blocks):
+    return ModelDefinition(
+        name="two_blocks", blocks=blocks,
+        log_prior=lambda v, data: ad.sum(v["s"]) + ad.sum(v["w"]),
+        loglik_term=lambda v, data, idx: 0.0,
+        num_observations=lambda data: 0)
+
+
+def test_identity_block_pushes_no_log_det_node():
+    model = _two_block_model((BlockSpec("s", LowerBound(0.0, 2)),
+                              BlockSpec("w", Identity(2))))
+    g = ad.Graph()
+    z = g.leaf([0.1, -0.2, 0.3, 0.4])
+    values, log_det = constrain_blocks(model, z)
+    # the Identity block's slice is the last node: the log-det is the
+    # LowerBound block's own sum, with no "+ 0.0" pushed after it
+    assert values["w"].i == len(g) - 1
+    assert log_det.i < values["w"].i
+    assert log_det.val == pytest.approx(-0.1, abs=1e-15)
+
+
+def test_all_identity_model_has_no_log_det():
+    model = _two_block_model((BlockSpec("s", Identity(2)),
+                              BlockSpec("w", Identity(2))))
+    zeta = [0.1, -0.2, 0.3, 0.4]
+    values, log_det = constrain_blocks(model, zeta)
+    assert log_det is None
+    assert values["s"].tolist() == [0.1, -0.2]
+    assert log_joint_unconstrained(model, EMPTY_DATA, zeta) == \
+        pytest.approx(0.6, abs=1e-15)
+    g = ad.Graph()
+    z = g.leaf(zeta)
+    out = log_joint_unconstrained(model, EMPTY_DATA, z)
+    # leaf, two slices, two sums and the prior's add: no log-det node
+    assert len(g) == 6
+    assert ad.gradient(out, [z])[0].tolist() == [1.0] * 4
+
+
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
 def test_partition_average_equals_full_joint(name):
     model, data = _small_instance(name)
@@ -226,9 +265,6 @@ def test_minibatch_validation():
         minibatch_log_joint(m, data, [0, 1, 0], [0.0])
     with pytest.raises(ConfigurationError, match="outside"):
         minibatch_log_joint(m, data, [5], [0.0])
-    frozen = dataclasses.replace(m, subsample_ok=False)
-    with pytest.raises(ConfigurationError, match="factorize"):
-        minibatch_log_joint(frozen, data, [0], [0.0])
 
 
 def test_log_joint_invariant_to_block_order():
