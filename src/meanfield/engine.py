@@ -134,14 +134,13 @@ class OptState:
 
     The window sum is recomputed oldest-first on every step (no running-sum
     drift), so it equals the brute-force sum of the last
-    min(iteration, window) squared gradients exactly. No RNG state lives
-    here: streams are pure functions of (seed, stream kind, iteration), so
-    the iteration counter is the whole of it.
+    min(steps, window) squared gradients exactly. No RNG state lives here:
+    streams are pure functions of (seed, stream kind, iteration), so the
+    window is the whole of it.
     """
 
     dim: int
     window: int
-    iteration: int = 0
     recent: deque = field(init=False)
 
     def __post_init__(self):
@@ -149,7 +148,6 @@ class OptState:
 
     def update(self, squared: np.ndarray) -> np.ndarray:
         self.recent.append(squared)
-        self.iteration += 1
         # oldest first, like the brute-force sum; np.add.reduce over the
         # stacked window would sum a one-coordinate window pairwise
         return sum(self.recent)

@@ -1,8 +1,9 @@
 """Dataset ingestion and result serialization.
 
-Datasets are JSON objects mapping names to numbers, flat arrays, or
+Datasets are UTF-8 JSON objects mapping names to numbers, flat arrays, or
 row-major arrays-of-arrays; :class:`Dataset` turns each entry into a numpy
-array, int64 when every element is an integer.
+array, int64 when every element is an integer, and keeps only the arrays
+(``Dataset.entries`` rebuilds this JSON form from them).
 Results are written as two CSV files (posterior samples and the
 optimization trace) plus a JSON manifest that echoes everything needed to
 reproduce the run. Floats are printed with 17 significant digits, which
@@ -25,10 +26,10 @@ __all__ = ["load_dataset", "RunManifest", "write_samples_csv",
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSON dataset; :class:`Dataset` checks and converts it."""
+    """Read a UTF-8 JSON dataset; :class:`Dataset` checks and converts it."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -36,6 +37,7 @@ def load_dataset(path) -> Dataset:
         raise ConfigurationError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    del text  # freed before the arrays are built
     if not isinstance(raw, dict):
         raise ShapeError(f"{path}: top level must be a JSON object")
     return Dataset(raw)

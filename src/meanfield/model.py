@@ -20,8 +20,8 @@ term. The likelihood is the sum of those terms, so
 :func:`minibatch_log_joint` can subsample any model.
 
 A :class:`Dataset` checks and converts each entry to a numpy array once,
-when it is built, whether it comes from JSON or from code; evaluators read
-``data[name]``.
+when it is built, whether it comes from JSON or from code, and holds only
+those arrays; evaluators read ``data[name]``.
 """
 
 from __future__ import annotations
@@ -72,28 +72,32 @@ def _entry_array(name: str, value) -> np.ndarray:
             raise error("integer outside the int64 range")
     if arr.dtype.kind not in "iuf":
         raise error(f"{arr.dtype} elements are not ints or floats")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise error(f"value {arr[~np.isfinite(arr)][0]} is not finite")
     return arr
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Named numeric data, checked and converted once, when it is built.
 
-    ``entries`` maps names to numbers, flat lists, lists of equal-length
-    rows, or int or float numpy arrays of at most two axes, and is kept as
-    given. ``data[name]`` is the entry as a numpy array; a list of ints
-    becomes int64, any other list float64. A ragged entry, one that mixes
-    scalars with rows or nests deeper, or one holding a bool, a string or
-    an int beyond int64 raises :class:`ShapeError` naming it.
+    It is built from a mapping of names to numbers, flat lists, lists of
+    equal-length rows, or int or float numpy arrays of at most two axes.
+    ``data[name]`` is the entry as a numpy array; a list of ints becomes
+    int64, any other list float64, and an array is kept as it is. Only
+    the arrays are held, not the mapping. A ragged entry, one that mixes
+    scalars with rows or nests deeper, one holding a bool, a string or an
+    int beyond int64, or a float that is NaN or infinite raises
+    :class:`ShapeError` naming it.
     """
 
-    entries: Mapping[str, Any]
-    _arrays: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, entries: Mapping[str, Any]):
+        self._arrays = {name: _entry_array(name, value)
+                        for name, value in entries.items()}
 
-    def __post_init__(self):
-        object.__setattr__(self, "_arrays", {
-            name: _entry_array(name, value)
-            for name, value in self.entries.items()})
+    @property
+    def entries(self) -> dict:
+        """The JSON form, ``{name: array.tolist()}``, built on each access."""
+        return {name: arr.tolist() for name, arr in self._arrays.items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:

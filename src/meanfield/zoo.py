@@ -27,7 +27,9 @@ likelihood call:
 Dimensions that define the block layout (K, D, U, I, group counts) are
 passed via ``dims``; real-valued prior settings via ``hyperparams``.
 :func:`model_for_data` infers the data-determined dimensions from a
-dataset, which is what the command line uses.
+dataset, which is what the command line uses. The ``simulate_*`` functions
+return a :class:`Dataset` of the numpy arrays they draw (its ``entries``
+is the JSON form) and the generating values.
 """
 
 from __future__ import annotations
@@ -354,7 +356,7 @@ def simulate_poisson_exponential(rng: np.random.Generator, n: int = 20,
     """Poisson counts at a rate drawn from Exponential(1)-ish scale."""
     lam = float(rng.exponential(rate))
     x = rng.poisson(lam, size=n)
-    return Dataset({"N": n, "x": x.tolist()}), {"lam": lam}
+    return Dataset({"N": n, "x": x}), {"lam": lam}
 
 
 def simulate_linreg_ard(rng: np.random.Generator, n: int, d: int,
@@ -366,7 +368,7 @@ def simulate_linreg_ard(rng: np.random.Generator, n: int, d: int,
         rng.choice([-1.0, 1.0], size=active)
     x = rng.standard_normal((n, d))
     y = x @ w + noise * rng.standard_normal(n)
-    data = Dataset({"N": n, "D": d, "x": x.tolist(), "y": y.tolist()})
+    data = Dataset({"N": n, "D": d, "x": x, "y": y})
     return data, {"w": w.tolist(), "noise": noise, "active": active}
 
 
@@ -398,11 +400,9 @@ def simulate_hier_logistic(rng: np.random.Generator, n: int,
     data = Dataset({
         "N": n, "n_age": n_age, "n_edu": n_edu, "n_age_edu": n_age_edu,
         "n_state": n_state, "n_region_full": n_region,
-        "age": age.tolist(), "edu": edu.tolist(),
-        "age_edu": age_edu.tolist(), "state": state.tolist(),
-        "region_full": region.tolist(), "female": female.tolist(),
-        "black": black.tolist(), "v_prev_full": v_prev.tolist(),
-        "y": y.tolist(),
+        "age": age, "edu": edu, "age_edu": age_edu, "state": state,
+        "region_full": region, "female": female, "black": black,
+        "v_prev_full": v_prev, "y": y,
     })
     truth = {"beta": beta.tolist(), "scales": scales}
     return data, truth
@@ -414,7 +414,7 @@ def simulate_nmf_counts(rng: np.random.Generator, u: int, i: int, k: int,
     theta = np.sort(rng.gamma(1.0, scale, size=(u, k)), axis=1)
     beta = rng.gamma(1.0, scale, size=(i, k))
     y = rng.poisson(theta @ beta.T)
-    data = Dataset({"U": u, "I": i, "y": y.tolist()})
+    data = Dataset({"U": u, "I": i, "y": y})
     return data, {"theta": theta.tolist(), "beta": beta.tolist()}
 
 
@@ -428,7 +428,7 @@ def simulate_gmm(rng: np.random.Generator, n: int, means, sigma: float = 0.5,
     weights = np.asarray(weights, dtype=float)
     z = rng.choice(k, size=n, p=weights / weights.sum())
     y = means[z] + sigma * rng.standard_normal((n, d))
-    data = Dataset({"N": n, "y": y.tolist()})
+    data = Dataset({"N": n, "y": y})
     truth = {"means": means.tolist(), "sigma": sigma,
              "weights": weights.tolist(), "assignments": z.tolist()}
     return data, truth

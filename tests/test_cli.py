@@ -112,7 +112,7 @@ def test_minibatch_run(tmp_path):
     rng = np.random.default_rng(0)
     data, _ = zoo.simulate_gmm(rng, 40, [[-2.0], [2.0]], sigma=0.6)
     data_path = tmp_path / "g.json"
-    data_path.write_text(json.dumps(dict(data.entries)))
+    data_path.write_text(json.dumps(data.entries))
     argv = ["--model", "gmm_minibatch", "--data", str(data_path),
             "--output", str(tmp_path / "s.csv"),
             "--diagnostic", str(tmp_path / "e.csv"),
@@ -134,7 +134,7 @@ def test_evaluation_failure_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(0)
     data, _ = zoo.simulate_gmm(rng, 10, [[0.0], [1.0]], sigma=0.6)
     data_path = tmp_path / "g.json"
-    data_path.write_text(json.dumps(dict(data.entries)))
+    data_path.write_text(json.dumps(data.entries))
     argv = ["--model", "gmm", "--data", str(data_path),
             "--output", str(tmp_path / "s.csv"),
             "--diagnostic", str(tmp_path / "e.csv"),
@@ -152,3 +152,19 @@ def test_ragged_data_exits_2(tmp_path, capsys):
             "--diagnostic", str(tmp_path / "e.csv")]
     assert main(argv) == 2
     assert "ragged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"N": 2, "x": [3, Infinity]}',
+                                  '{"N": 1, "x": [NaN]}'],
+                         ids=["infinity", "nan"])
+def test_non_finite_data_exits_2(poisson_files, capsys, text):
+    poisson_files["data"].write_text(text)
+    assert main(_argv(poisson_files)) == 2
+    assert "'x'" in capsys.readouterr().err
+
+
+def test_non_utf8_data_exits_2(poisson_files, capsys):
+    poisson_files["data"].write_bytes(b'\xff\xfe{"N": 1, "x": [3]}')
+    assert main(_argv(poisson_files)) == 2
+    err = capsys.readouterr().err
+    assert "d.json" in err and "utf-8" in err

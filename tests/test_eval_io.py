@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,9 +194,12 @@ _BAD_ENTRIES = [
     ([2 ** 63], "int64 range"),
     ([-1, 2 ** 63], "int64 range"),
     ([[[1.0]]], "nested 3 deep"),
+    ([1.0, float("inf")], "inf is not finite"),
+    (np.array([[0.5, np.nan]]), "nan is not finite"),
 ]
 _BAD_IDS = ["ragged", "mixed", "bool_in_ints", "bool", "string",
-            "beyond_int64", "beyond_int64_signed", "three_levels"]
+            "beyond_int64", "beyond_int64_signed", "three_levels",
+            "inf_in_floats", "nan_in_array"]
 
 
 class TestDataset:
@@ -223,9 +227,24 @@ class TestDataset:
                 Dataset({"b": value})
 
     def test_entries_kept_as_given(self):
-        entries = {"x": [3, 5]}
+        entries = {"N": 2, "x": [3, 5], "y": [[1.0, 2.5]]}
         data = Dataset(entries)
-        assert data.entries is entries and "x" in data and "y" not in data
+        assert data.entries == entries and "x" in data and "y" in data
+        assert "z" not in data
+
+    def test_simulated_entries_round_trip_through_json(self):
+        rng = np.random.default_rng(3)
+        for data, _ in (zoo.simulate_poisson_exponential(rng),
+                        zoo.simulate_linreg_ard(rng, 6, 3),
+                        zoo.simulate_hier_logistic(rng, 12),
+                        zoo.simulate_nmf_counts(rng, 3, 4, 2),
+                        zoo.simulate_gmm(rng, 8, [[0.0, 1.0], [2.0, 3.0]])):
+            entries = data.entries
+            again = Dataset(json.loads(json.dumps(entries)))
+            assert again.entries.keys() == entries.keys()
+            for name in entries:
+                assert again[name].dtype == data[name].dtype
+                assert np.array_equal(again[name], data[name])
 
 
 class TestLoadDataset:
@@ -278,10 +297,42 @@ class TestLoadDataset:
         with pytest.raises(ShapeError, match="object"):
             load_dataset(p)
 
+    def test_non_finite_literals_rejected(self, tmp_path):
+        p = tmp_path / "d.json"
+        for text, name, value in (('{"x": [3, Infinity]}', "x", "inf"),
+                                  ('{"y": [[NaN, 1.0]]}', "y", "nan"),
+                                  ('{"s": -Infinity}', "s", "-inf")):
+            p.write_text(text)
+            with pytest.raises(ShapeError,
+                               match=f"'{name}': value {value} is not finite"):
+                load_dataset(p)
+
+    def test_non_utf8_file_is_a_configuration_error(self, tmp_path):
+        p = tmp_path / "d.json"
+        p.write_bytes(b'\xff\xfe{"x": [1]}')
+        with pytest.raises(ConfigurationError,
+                           match="cannot read .*d.json.*utf-8"):
+            load_dataset(p)
+
+    def test_only_the_arrays_are_retained(self, tmp_path):
+        p = tmp_path / "d.json"
+        rng = np.random.default_rng(11)
+        p.write_text(json.dumps(
+            {"N": 20_000, "y": rng.standard_normal((20_000, 10)).tolist()}))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = load_dataset(p)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.5 * data["y"].nbytes
+
     @pytest.mark.parametrize("value,match", _BAD_ENTRIES, ids=_BAD_IDS)
     def test_bad_entry_rejected(self, tmp_path, value, match):
         p = tmp_path / "d.json"
-        p.write_text(json.dumps({"N": 2, "bad": value}))
+        p.write_text(json.dumps({"N": 2, "bad": value},
+                                default=np.ndarray.tolist))
         with pytest.raises(ShapeError, match=f"'bad'.*{match}"):
             load_dataset(p)
 
