@@ -107,6 +107,9 @@ def main(argv=None) -> int:
             minibatch=args.minibatch,
             init=args.init,
         )
+        if args.draws < 1:
+            raise ConfigurationError(
+                f"--draws must be >= 1, got {args.draws}")
         heldout = load_dataset(args.heldout) if args.heldout else None
     except (ConfigurationError, ShapeError, DomainError) as exc:
         parser.print_usage(sys.stderr)

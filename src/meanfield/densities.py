@@ -5,8 +5,10 @@ so objective values and held-out predictive scores are absolute, not merely
 comparable up to shifts. Arguments may be floats, arrays or tape values and
 broadcast as numpy does; the result holds one log density per element (per
 row of the last axis for :func:`dirichlet`), and summing is the caller's
-business. An out-of-domain element raises :class:`DomainError` naming the
-distribution.
+business. A parameter outside its domain raises :class:`DomainError`
+naming the distribution; a Poisson count or a Bernoulli outcome outside its
+support is bad data, not a bad draw, and raises :class:`ShapeError` naming
+the first such value.
 
 A density whose partial derivatives are elementary is one tape node with
 closed-form partials (:func:`autodiff.node`), whatever the size of its
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "normal", "lognormal", "gamma", "inverse_gamma", "exponential",
@@ -116,27 +118,34 @@ def dirichlet(x, alpha):
 
 
 def poisson(k, rate):
+    """Log mass of count ``k`` at a rate in [0, inf]: at rate 0 all the
+    mass is on count 0, at rate inf no count has any."""
     k = np.asarray(k)
-    if not (_holds(k >= 0) and (k.dtype.kind in "iu"
-                                or _holds(np.floor(k) == k))):
-        raise DomainError(
-            f"poisson: count must be a nonnegative integer, got {k!r}")
-    _positive(rate, "poisson", "rate")
+    ok = k >= 0
+    if k.dtype.kind not in "iu":
+        ok &= np.floor(k) == k
+    if not _holds(ok):
+        raise ShapeError(f"poisson: count must be a nonnegative integer, "
+                         f"got {k[~ok][0]}")
     r = ad.value(rate)
-    # every count has probability 0 at an infinite rate
-    finite = r < math.inf
-    safe = np.where(finite, r, 1.0)
-    out = np.where(finite, k * np.log(safe) - safe, -math.inf)
+    if not _holds(r >= 0.0):
+        raise DomainError(f"poisson: rate must be >= 0, got {np.min(r)}")
+    inside = (0.0 < r) & (r < math.inf)
+    safe = np.where(inside, r, 1.0)
+    edge = np.where((r == 0.0) & (k == 0), 0.0, -math.inf)
+    out = np.where(inside, k * np.log(safe) - safe, edge)
+    # k / r - 1, with 0 / 0 read as 0 at count 0
     return ad.node((rate,), out - ad.log_gamma(k + 1.0),
-                   (lambda g: g * (k / r - 1.0),))
+                   (lambda g: g * (k / np.where(k == 0, 1.0, r) - 1.0),))
 
 
 def bernoulli_logit(y, logit_p):
     """log mass of y in {0,1} under success probability logistic(logit_p)."""
     y = np.asarray(y)
-    if not _holds((y == 0) | (y == 1)):
-        raise DomainError(f"bernoulli_logit: outcome must be 0 or 1, "
-                          f"got {y!r}")
+    ok = (y == 0) | (y == 1)
+    if not _holds(ok):
+        raise ShapeError(f"bernoulli_logit: outcome must be 0 or 1, "
+                         f"got {y[~ok][0]}")
     # log sigma(t) = -softplus(-t) with t = logit_p for y = 1 and -logit_p
     # for y = 0, stable at large |t|
     sign = 1.0 - 2.0 * y

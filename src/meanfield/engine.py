@@ -111,16 +111,20 @@ class FitConfig:
             raise ConfigurationError("grad_samples must be >= 1")
         if self.elbo_samples < 1:
             raise ConfigurationError("elbo_samples must be >= 1")
-        if self.step_scale <= 0.0:
-            raise ConfigurationError("step_scale must be > 0")
+        if not self.step_scale > 0.0:  # written so that NaN fails
+            raise ConfigurationError(
+                f"step_scale must be > 0, got {self.step_scale}")
         if self.window < 1:
             raise ConfigurationError("window must be >= 1")
-        if self.threshold <= 0.0:
-            raise ConfigurationError("threshold must be > 0")
+        if not self.threshold > 0.0:
+            raise ConfigurationError(
+                f"threshold must be > 0, got {self.threshold}")
         if self.eval_interval < 1:
             raise ConfigurationError("eval_interval must be >= 1")
         if self.max_iterations < 0:
             raise ConfigurationError("max_iterations must be >= 0")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.minibatch is not None and self.minibatch < 1:
             raise ConfigurationError("minibatch must be >= 1")
         if self.init not in ("zero", "gaussian"):

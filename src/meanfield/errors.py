@@ -6,13 +6,17 @@ class MeanfieldError(Exception):
 
 
 class DomainError(MeanfieldError, ValueError):
-    """An argument lies outside the mathematical domain of an operation
-    (log of a nonpositive number, a density parameter out of range, a
-    constrained value on or outside its support boundary, ...)."""
+    """A parameter or a draw lies outside the mathematical domain of an
+    operation (log of a nonpositive number, a density parameter out of
+    range, a constrained value on or outside its support boundary, ...).
+    It concerns parameters and draws, not data: the engine drops or
+    redraws a draw that raises it."""
 
 
 class ShapeError(MeanfieldError, ValueError):
-    """A vector/array argument has the wrong length or a ragged layout."""
+    """Data or an array argument is malformed: the wrong length, a ragged
+    layout, or a data value outside a likelihood's support (a negative or
+    fractional Poisson count, a Bernoulli outcome other than 0 or 1)."""
 
 
 class ConfigurationError(MeanfieldError, ValueError):

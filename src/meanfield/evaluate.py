@@ -7,9 +7,17 @@ whose sum runs over each point's draws in sorted order, so it does not
 depend on the order of the draws; the outer mean is an exact (fsum) sum
 over points, so it does not depend on their order either.
 
-A (draw, point) pair outside the likelihood's support (a Poisson rate of
-exactly 0 in one cell, say) scores a log likelihood of -inf: that pair
-only, not the whole draw. A NaN log likelihood is an evaluation failure.
+Each draw scores a chunk of points with one ``loglik_term`` call, and the
+contract with the model is this: a :class:`DomainError` from
+``loglik_term`` concerns the whole draw, which then scores log 0 (-inf) at
+every point of the chunk, and a point the draw gives zero probability (a
+count above 0 at a Poisson rate of exactly 0, say) scores -inf by value,
+that pair only. The zoo keeps it with one known exception: a NaN cell rate
+in the two factorization models (inf times 0, which needs ``exp`` to
+overflow and underflow in one draw) zeroes that draw on its chunk, not
+only that (draw, cell) pair. A NaN log likelihood is an evaluation
+failure, and held-out data outside the likelihood's support raises
+:class:`ShapeError`, as training data does.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PosteriorDraws
-from .errors import ConfigurationError, DomainError, EvaluationFailure
+from .errors import ConfigurationError, DomainError, EvaluationFailure, \
+    ShapeError
 from .model import Dataset, ModelDefinition
 
 __all__ = ["EvalReport", "heldout_log_predictive"]
@@ -39,33 +48,14 @@ class EvalReport:
     failed_index: int | None = None
 
 
-def _draw_logliks(model, values, heldout, idx):
-    """Log likelihood of each point in ``idx`` under one draw."""
-    try:
-        return model.loglik_term(values, heldout, idx)
-    except DomainError:
-        # The failure may belong to some points only (one cell's Poisson
-        # rate is exactly 0, say): score the points one at a time, so that
-        # only the pairs out of the support get a -inf log term.
-        return [_point_loglik(model, values, heldout, n)
-                for n in idx.tolist()]
-
-
-def _point_loglik(model, values, heldout, n):
-    try:
-        return model.loglik_term(values, heldout, n)
-    except DomainError:
-        # zero likelihood: a draw on the edge of the support
-        return -math.inf
-
-
 def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
                            heldout: Dataset) -> EvalReport:
     """Score held-out data under the posterior predictive of ``draws``.
 
     Loops over draws; each draw scores a chunk of points as one array
     expression. At most ``_SCORES_AT_ONCE`` (draw, point) scores are held at
-    a time.
+    a time. A draw whose call raises :class:`DomainError` scores log 0
+    on that chunk.
     """
     if draws.size < 1:
         raise ConfigurationError("need at least one posterior draw")
@@ -85,8 +75,13 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
         try:
             with np.errstate(all="ignore"):
                 for s, values in enumerate(per_draw):
-                    logliks[:, s] = _draw_logliks(model, values, heldout,
-                                                  idx)
+                    try:
+                        logliks[:, s] = model.loglik_term(values, heldout,
+                                                          idx)
+                    except DomainError:  # the draw is out of the domain
+                        logliks[:, s] = -math.inf
+        except ShapeError:  # data outside the likelihood's support
+            raise
         except (IndexError, TypeError, KeyError, ValueError) as exc:
             raise ConfigurationError(
                 f"held-out data is not shape-compatible with model "

@@ -17,7 +17,11 @@ is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
 index array (``arange(N)`` for the full data, the batch for a minibatch)
 returns one term per index; with an int ``idx`` it returns that single
 term. The likelihood is the sum of those terms, so
-:func:`minibatch_log_joint` can subsample any model.
+:func:`minibatch_log_joint` can subsample any model. A
+:class:`DomainError` from ``loglik_term`` concerns the whole draw (the
+engine drops or redraws it, held-out scoring gives it log 0); a point the
+draw gives zero probability scores -inf; data outside the likelihood's
+support raises :class:`ShapeError`.
 
 A :class:`Dataset` checks and converts each entry to a numpy array once,
 when it is built, whether it comes from JSON or from code, and holds only

@@ -34,6 +34,7 @@ is the JSON form) and the generating values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -144,11 +145,12 @@ def _build_hier_logistic(hypers, dims):
     )
 
 
-def _single_int(data, name):
+def _single_number(data, name):
+    # not int(): make_model rejects a size that is not integral
     if data[name].ndim != 0:
         raise TypeError(f"{name} must be one integer, got shape "
                         f"{data[name].shape}")
-    return int(data[name])
+    return data[name].item()
 
 
 def _nmf_num_observations(data):
@@ -260,7 +262,7 @@ _ZOO: dict[str, _ZooEntry] = {
     "hier_logistic": _ZooEntry(
         _build_hier_logistic,
         {}, _HIER_DIMS, {},
-        lambda data: {n: _single_int(data, n) for n in _HIER_DIMS}),
+        lambda data: {n: _single_number(data, n) for n in _HIER_DIMS}),
     "gamma_poisson_nmf": _ZooEntry(
         _build_gamma_poisson_nmf,
         {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
@@ -287,9 +289,10 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
     """Instantiate a zoo model by name.
 
     ``dims`` supplies the block-layout dimensions the model requires
-    (missing ones fall back to defaults where a default exists);
-    ``hyperparams`` overrides prior settings. Unknown names in either
-    mapping are rejected.
+    (missing ones fall back to defaults where a default exists); each
+    must be an integer >= 1 (an integral float such as 3.0 is taken).
+    ``hyperparams`` overrides prior settings, each finite and > 0.
+    Unknown names in either mapping are rejected.
     """
     try:
         entry = _ZOO[name]
@@ -303,13 +306,23 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
             raise ConfigurationError(
                 f"model {name}: unknown hyperparameter {key!r}; "
                 f"accepts {sorted(entry.hyper_defaults) or 'none'}")
-        hypers[key] = float(value)
+        value = float(value)
+        # every zoo hyperparameter is a scale, rate, shape or concentration
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"model {name}: hyperparameter {key} must be finite and "
+                f"> 0, got {value}")
+        hypers[key] = value
     resolved = dict(entry.dim_defaults)
     for key, value in (dims or {}).items():
         if key not in entry.dim_names:
             raise ConfigurationError(
                 f"model {name}: unknown dimension {key!r}; "
                 f"accepts {list(entry.dim_names) or 'none'}")
+        if not float(value).is_integer():
+            raise ConfigurationError(
+                f"model {name}: dimension {key} must be an integer, "
+                f"got {value}")
         resolved[key] = int(value)
     missing = [k for k in entry.dim_names if k not in resolved]
     if missing:
@@ -343,7 +356,7 @@ def model_for_data(name: str, data: Dataset,
     hypers = {}
     for key, value in (settings or {}).items():
         if key in entry.dim_names:
-            dims[key] = int(value)
+            dims[key] = value
         else:
             hypers[key] = value
     return make_model(name, hypers, dims)

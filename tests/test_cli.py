@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from meanfield import zoo
+from meanfield import cli, zoo
 from meanfield.cli import main
 
 
@@ -168,3 +168,69 @@ def test_non_utf8_data_exits_2(poisson_files, capsys):
     assert main(_argv(poisson_files)) == 2
     err = capsys.readouterr().err
     assert "d.json" in err and "utf-8" in err
+
+
+def test_count_outside_support_exits_2(poisson_files, capsys):
+    # bad data stops fit at its first evaluation with the density's
+    # message, instead of being redrawn as if the draw were at fault
+    poisson_files["data"].write_text('{"x": [4, -1]}')
+    assert main(_argv(poisson_files)) == 2
+    assert "count must be a nonnegative integer, got -1" in \
+        capsys.readouterr().err
+
+
+def test_heldout_count_outside_support_exits_2(tmp_path, poisson_files,
+                                               capsys):
+    heldout = tmp_path / "h.json"
+    heldout.write_text('{"x": [4, -1, 2.5]}')
+    assert main(_argv(poisson_files, "--heldout", str(heldout))) == 2
+    assert "count must be a nonnegative integer, got -1" in \
+        capsys.readouterr().err
+
+
+def test_outcome_outside_support_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    data, _ = zoo.simulate_hier_logistic(rng, 20)
+    entries = data.entries
+    entries["y"][3] = 2
+    data_path = tmp_path / "h.json"
+    data_path.write_text(json.dumps(entries))
+    argv = ["--model", "hier_logistic", "--data", str(data_path),
+            "--output", str(tmp_path / "s.csv"),
+            "--diagnostic", str(tmp_path / "e.csv"), "--max-iters", "5"]
+    assert main(argv) == 2
+    assert "outcome must be 0 or 1, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, words", [
+    (("--hyper", "rate=nan"), "rate must be finite and > 0, got nan"),
+    (("--hyper", "rate=-1"), "rate must be finite and > 0, got -1.0"),
+    (("--hyper", "rate=inf"), "rate must be finite and > 0, got inf"),
+    (("--threshold", "nan"), "threshold must be > 0, got nan"),
+    (("--draws", "0"), "--draws must be >= 1, got 0"),
+    (("--seed", "-1"), "seed must be >= 0, got -1"),
+], ids=["rate_nan", "rate_negative", "rate_inf", "threshold_nan",
+        "draws_0", "seed_negative"])
+def test_bad_setting_exits_2_before_fitting(poisson_files, capsys,
+                                            monkeypatch, extra, words):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit was called")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    assert main(_argv(poisson_files, *extra)) == 2
+    assert words in capsys.readouterr().err
+
+
+def test_non_integral_dimension_exits_2(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit was called")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    data_path = tmp_path / "g.json"
+    data_path.write_text('{"y": [[0.0, 1.0], [1.0, 0.0]]}')
+    argv = ["--model", "gmm", "--data", str(data_path),
+            "--output", str(tmp_path / "s.csv"),
+            "--diagnostic", str(tmp_path / "e.csv"), "--hyper", "K=2.7"]
+    assert main(argv) == 2
+    assert "dimension K must be an integer, got 2.7" in \
+        capsys.readouterr().err

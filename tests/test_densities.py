@@ -5,7 +5,7 @@ import pytest
 
 from meanfield import autodiff as ad
 from meanfield import densities as dens
-from meanfield.errors import DomainError
+from meanfield.errors import DomainError, ShapeError
 from util import central_diff
 
 
@@ -94,6 +94,19 @@ def test_poisson_at_infinite_rate_is_minus_inf():
     finite = dens.poisson(k[[0, 3]], rates[[0, 3]])
     assert out[[0, 3]].tolist() == finite.tolist()
     assert dens.poisson(0, math.inf) == -math.inf
+
+
+def test_poisson_at_rate_zero():
+    # all the mass is on count 0, as in Stan Math's poisson_lpmf; no
+    # RuntimeWarning either, which the test settings make an error
+    assert dens.poisson(0, 0.0) == 0.0
+    assert dens.poisson(3, 0.0) == -math.inf
+    out = dens.poisson(np.array([0, 3, 2]), np.array([0.0, 0.0, 1.5]))
+    assert out[:2].tolist() == [0.0, -math.inf]
+    assert out[2] == dens.poisson(2, 1.5)
+    g = ad.Graph()
+    leaf = g.leaf(0.0)
+    assert ad.gradient(dens.poisson(0, leaf), [leaf]) == [-1.0]
 
 
 def test_bernoulli_mass_sums_to_one():
@@ -195,12 +208,18 @@ def test_domain_errors_name_the_distribution():
         dens.dirichlet([0.5, 0.5], [1.0, -1.0])
     with pytest.raises(DomainError, match="dirichlet"):
         dens.dirichlet([0.7, 0.7], [1.0, 1.0])
-    with pytest.raises(DomainError, match="poisson"):
+    with pytest.raises(DomainError, match="poisson: rate"):
+        dens.poisson(1, -0.5)
+    # a count or outcome outside the support is bad data, not a bad draw:
+    # a ShapeError naming the first such value, not the whole array
+    with pytest.raises(ShapeError, match=r"^poisson: .* got -1$"):
+        dens.poisson(np.array([3, -1, -2]), 1.0)
+    with pytest.raises(ShapeError, match=r"^poisson: .* got 2\.5$"):
+        dens.poisson(np.array([1.0, 2.5, 3.5]), 1.0)
+    with pytest.raises(ShapeError, match=r"^bernoulli_logit: .* got 2$"):
+        dens.bernoulli_logit(np.array([0, 2, 3]), 0.0)
+    with pytest.raises(ShapeError, match=r"^poisson: .* got -1$"):
         dens.poisson(-1, 1.0)
-    with pytest.raises(DomainError, match="poisson"):
-        dens.poisson(2.5, 1.0)
-    with pytest.raises(DomainError, match="bernoulli_logit"):
-        dens.bernoulli_logit(2, 0.0)
 
 
 def test_bernoulli_logit_extreme_values_are_finite():

@@ -274,6 +274,15 @@ class TestFitConfig:
             FitConfig(init="warm")
         with pytest.raises(ConfigurationError):
             FitConfig(max_iterations=-1)
+        # each float check is written so that NaN fails it
+        with pytest.raises(ConfigurationError, match="threshold.*nan"):
+            FitConfig(threshold=math.nan)
+        with pytest.raises(ConfigurationError, match="step_scale.*nan"):
+            FitConfig(step_scale=math.nan)
+        with pytest.raises(ConfigurationError, match="step_scale"):
+            FitConfig(step_scale=0.0)
+        with pytest.raises(ConfigurationError, match="seed.*-1"):
+            FitConfig(seed=-1)
 
 
 class TestFit:

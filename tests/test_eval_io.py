@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanfield import densities as dens
 from meanfield import evaluate, zoo
 from meanfield.engine import PosteriorDraws, VariationalParams, \
     draw_posterior, ElboTrace
-from meanfield.errors import ConfigurationError, ShapeError
+from meanfield.errors import ConfigurationError, DomainError, ShapeError
 from meanfield.evaluate import heldout_log_predictive
 from meanfield.io import RunManifest, load_dataset, write_diagnostics_csv, \
     write_manifest, write_samples_csv
@@ -102,6 +104,35 @@ class TestHeldoutLogPredictive:
         assert report.failed_index is None
         assert report.mean_log_predictive == \
             pytest.approx(0.5 * (cell0 + cell1), abs=1e-12)
+
+    def test_draw_raising_domain_error_scores_log_zero(self):
+        # the draw above 5 raises for the whole call: it scores log 0 at
+        # every point, the other draw still counts, and each draw is one
+        # loglik_term call for the chunk
+        calls = []
+
+        def loglik(v, data, idx):
+            calls.append(idx)
+            if v["lam"] > 5.0:
+                raise DomainError("lam > 5")
+            return dens.poisson(data["x"][idx], v["lam"])
+
+        model, draws = _poisson_draws([1.0, 10.0])
+        model = dataclasses.replace(model, loglik_term=loglik)
+        report = heldout_log_predictive(model, draws,
+                                        Dataset({"x": [2, 0, 3]}))
+        oracle = sum(math.log(0.5) + _poisson_lpmf(k, 1.0)
+                     for k in (2, 0, 3)) / 3
+        assert report.failed_index is None
+        assert report.mean_log_predictive == pytest.approx(oracle,
+                                                           abs=1e-12)
+        assert [c.tolist() for c in calls] == [[0, 1, 2], [0, 1, 2]]
+
+    def test_count_outside_support_is_shape_error(self):
+        model, draws = _poisson_draws([1.0, 2.0])
+        with pytest.raises(ShapeError, match="got -1"):
+            heldout_log_predictive(model, draws,
+                                   Dataset({"x": [4, -1, 2.5]}))
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(3)

@@ -46,6 +46,30 @@ def test_unknown_hyper_rejected():
         zoo.make_model("poisson_exponential", None, {"K": 3})
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf])
+def test_hyperparameter_must_be_finite_and_positive(value):
+    with pytest.raises(ConfigurationError,
+                       match=f"hyperparameter rate must be finite.*{value}"):
+        zoo.make_model("poisson_exponential", {"rate": value})
+
+
+def test_dimension_must_be_an_integer():
+    with pytest.raises(ConfigurationError,
+                       match="dimension K must be an integer, got 2.5"):
+        zoo.make_model("gmm", dims={"K": 2.5, "D": 2})
+    data = Dataset({"y": [[0.0, 1.0], [1.0, 0.0]]})
+    with pytest.raises(ConfigurationError, match="dimension K .* 2.7"):
+        zoo.model_for_data("gmm", data, {"K": 2.7})
+    rng = np.random.default_rng(5)
+    hier, _ = zoo.simulate_hier_logistic(rng, 25)
+    entries = dict(hier.entries, n_state=8.5)
+    with pytest.raises(ConfigurationError, match="dimension n_state"):
+        zoo.model_for_data("hier_logistic", Dataset(entries), {})
+    # an integral float is taken as the integer
+    assert zoo.make_model("gmm", dims={"K": 3.0, "D": 2}).dim == \
+        zoo.make_model("gmm", dims={"K": 3, "D": 2}).dim
+
+
 def test_hyper_defaults():
     m = zoo.make_model("dirichlet_exponential_nmf", dims={"U": 2, "I": 2})
     assert m.hyperparams == {"alpha0": 1000.0, "lambda0": 0.1}
