@@ -17,11 +17,13 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .engine import STREAM_DRAW, FitConfig, draw_posterior, fit, substream
+from .engine import STREAM_DRAW, FitConfig, PosteriorDraws, draw_posterior, \
+    fit, substream
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .evaluate import heldout_log_predictive
 from .io import RunManifest, load_dataset, write_outputs
+from .model import constrain_blocks
 from .zoo import ZOO_NAMES, model_for_data
 
 CONFIG_ERROR = 2
@@ -118,6 +120,11 @@ def main(argv=None) -> int:
 
     wall_start = time.perf_counter()
     try:
+        if heldout is not None:
+            # one draw at the origin: bad held-out data exits before fit
+            origin, _ = constrain_blocks(model, [[0.0] * model.dim])
+            heldout_log_predictive(
+                model, PosteriorDraws(model.blocks, origin, 1), heldout)
         params, trace = fit(model, data, config)
         draws = draw_posterior(model, params, args.draws,
                                substream(args.seed, STREAM_DRAW))

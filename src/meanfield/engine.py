@@ -62,14 +62,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, np.random.SeedSequence):
-        return np.random.default_rng(rng)
-    return np.random.default_rng(int(rng))
-
-
 @dataclass(frozen=True)
 class VariationalParams:
     """Mean and log standard deviation of the factorized Gaussian."""
@@ -185,23 +177,12 @@ class ElboTrace:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Constrained-space samples from the fitted approximation."""
+    """Constrained-space samples from the fitted approximation: each
+    block's values, in block order, with the draws on the first axis."""
 
     blocks: tuple[BlockSpec, ...]
     samples: dict[str, np.ndarray]
     size: int
-
-    def column_names(self) -> list[str]:
-        names = []
-        for b in self.blocks:
-            names.extend(b.column_names())
-        return names
-
-    def flattened(self) -> np.ndarray:
-        """(size x total constrained dim) array in column_names() order."""
-        parts = [self.samples[b.name].reshape(self.size, -1)
-                 for b in self.blocks]
-        return np.concatenate(parts, axis=1)
 
 
 def inverse_standardize(params: VariationalParams, eta) -> np.ndarray:
@@ -228,7 +209,7 @@ def _elbo_and_drops(model, data, params, n_samples, rng):
     """:func:`estimate_elbo` and the number of draws it dropped."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)
     values = []
     # a wild draw may overflow: it is dropped, not reported as a warning
     with np.errstate(all="ignore"):
@@ -437,7 +418,7 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
     if params.dim != model.dim:
         raise ShapeError(
             f"params have dim {params.dim}, model needs {model.dim}")
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)
     zeta = inverse_standardize(params, gen.standard_normal((size, params.dim)))
     # one array expression over all draws: a row of zeta per draw
     with np.errstate(all="ignore"):

@@ -6,8 +6,9 @@ array, int64 when every element is an integer, and keeps only the arrays
 (``Dataset.entries`` rebuilds this JSON form from them).
 Results are written as two CSV files (posterior samples and the
 optimization trace) plus a JSON manifest that echoes everything needed to
-reproduce the run. Floats are printed with 17 significant digits, which
-round-trips IEEE doubles exactly.
+reproduce the run; the samples' columns are laid out here alone. Floats
+are printed with 17 significant digits, which round-trips IEEE doubles
+exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .engine import ElboTrace, PosteriorDraws
 from .errors import ConfigurationError, ShapeError
@@ -44,10 +47,17 @@ def load_dataset(path) -> Dataset:
 
 
 def write_samples_csv(draws: PosteriorDraws, path) -> None:
-    """One header row of flattened constrained names, one row per draw."""
-    flat = draws.flattened()
+    """A header row, then one row per draw. A block's columns follow from
+    the shape of its samples, 1-based and row-major: ``name.1`` for a
+    scalar, ``name.j`` for a vector, ``name.r.j`` for rows."""
+    names, parts = [], []
+    for name, values in draws.samples.items():
+        names += [".".join([name, *(str(i + 1) for i in index)])
+                  for index in np.ndindex(values.shape[1:] or (1,))]
+        parts.append(values.reshape(draws.size, -1))
+    flat = np.concatenate(parts, axis=1)
     row = ",".join(["%.17g"] * flat.shape[1])
-    lines = [",".join(draws.column_names())]
+    lines = [",".join(names)]
     # one row of Python floats at a time, not the whole table at once
     lines += [row % tuple(draw.tolist()) for draw in flat]
     _write_text(path, "\n".join(lines) + "\n")

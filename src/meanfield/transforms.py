@@ -9,6 +9,10 @@ transform and its Jacobian term. :func:`unconstrain` and
 :func:`check_value` are float array expressions over the same axes (they
 initialize from or inspect constrained values, never differentiated).
 
+A kind is checked when it is built (``dim`` an integer >= 1, ``size`` one
+>= 2, every bound finite; else ``ValueError``), one check per family of
+kinds; anything else passed as a kind raises ``TypeError``.
+
 Formulas:
 
 * LowerBound(a):  theta = a + exp(zeta),            log_det = sum(zeta)
@@ -26,7 +30,8 @@ Formulas:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Union
 
@@ -44,73 +49,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Identity:
-    dim: int = 1
+def _check_count(owner: str, field: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an int (not a bool) >= ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(
+            f"{owner}: {field} must be an integer >= {least}, got {value!r}")
+
+
+class _Elementwise:
+    """Kinds that map each of ``dim`` coordinates between finite bounds."""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("Identity: dim must be >= 1")
+        name = type(self).__name__
+        _check_count(name, "dim", self.dim, 1)
+        for f in fields(self)[:-1]:  # the bounds; dim comes last
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: {f.name} must be finite, "
+                                 f"got {value!r}")
+
+
+class _Sequence:
+    """Kinds that map ``size`` coupled components."""
+
+    def __post_init__(self):
+        _check_count(type(self).__name__, "size", self.size, 2)
 
 
 @dataclass(frozen=True)
-class LowerBound:
+class Identity(_Elementwise):
+    dim: int = 1
+
+
+@dataclass(frozen=True)
+class LowerBound(_Elementwise):
     bound: float
     dim: int = 1
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("LowerBound: dim must be >= 1")
-
 
 @dataclass(frozen=True)
-class UpperBound:
+class UpperBound(_Elementwise):
     bound: float
     dim: int = 1
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("UpperBound: dim must be >= 1")
-
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Elementwise):
     lower: float
     upper: float
     dim: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.lower < self.upper:
             raise ValueError("Interval: requires lower < upper")
-        if self.dim < 1:
-            raise ValueError("Interval: dim must be >= 1")
 
 
 @dataclass(frozen=True)
-class Simplex:
+class Simplex(_Sequence):
     size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("Simplex: size must be >= 2")
 
 
 @dataclass(frozen=True)
-class Ordered:
+class Ordered(_Sequence):
     size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("Ordered: size must be >= 2")
 
 
 @dataclass(frozen=True)
-class PositiveOrdered:
+class PositiveOrdered(_Sequence):
     size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("PositiveOrdered: size must be >= 2")
 
 
 TransformKind = Union[
@@ -119,19 +127,19 @@ TransformKind = Union[
 ]
 
 
+def constrained_dim(kind: TransformKind) -> int:
+    """Length of a value; raises TypeError for anything but a kind."""
+    if isinstance(kind, _Elementwise):
+        return kind.dim
+    if isinstance(kind, _Sequence):
+        return kind.size
+    raise TypeError(f"unknown transform kind {kind!r}")
+
+
 def unconstrained_dim(kind: TransformKind) -> int:
     """Number of free coordinates; a K-simplex has K-1."""
-    if isinstance(kind, Simplex):
-        return kind.size - 1
-    if isinstance(kind, (Ordered, PositiveOrdered)):
-        return kind.size
-    return kind.dim
-
-
-def constrained_dim(kind: TransformKind) -> int:
-    if isinstance(kind, (Simplex, Ordered, PositiveOrdered)):
-        return kind.size
-    return kind.dim
+    d = constrained_dim(kind)
+    return d - 1 if isinstance(kind, Simplex) else d
 
 
 def _check_len(kind, got, expected):
@@ -187,9 +195,8 @@ def constrain(kind: TransformKind, zeta):
     if isinstance(kind, Ordered):
         steps = ad.concat([zeta[..., :1], ad.exp(zeta[..., 1:])])
         return ad.cumsum(steps), ad.sum(zeta[..., 1:])
-    if isinstance(kind, PositiveOrdered):
-        return ad.cumsum(ad.exp(zeta)), ad.sum(zeta)
-    raise TypeError(f"unknown transform kind {kind!r}")
+    # PositiveOrdered
+    return ad.cumsum(ad.exp(zeta)), ad.sum(zeta)
 
 
 def _require(kind, inside, values, message):
@@ -227,14 +234,12 @@ def check_value(kind: TransformKind, theta) -> None:
         _require(kind, abs(total - 1.0) <= 1e-8, total,
                  "components sum to {}, not 1")
         _require(kind, theta > 0.0, theta, "component {} not positive")
-    elif isinstance(kind, (Ordered, PositiveOrdered)):
+    else:  # Ordered or PositiveOrdered
         if isinstance(kind, PositiveOrdered):
             _require(kind, theta[..., 0] > 0.0, theta[..., 0],
                      "first component {} not positive")
         _require(kind, theta[..., 1:] > theta[..., :-1], theta[..., 1:],
                  "component {} not above the one before it")
-    else:
-        raise TypeError(f"unknown transform kind {kind!r}")
 
 
 def unconstrain(kind: TransformKind, theta) -> list[float]:
@@ -264,10 +269,8 @@ def unconstrain(kind: TransformKind, theta) -> list[float]:
     elif isinstance(kind, Ordered):
         zeta = np.concatenate(
             [theta[..., :1], np.log(np.diff(theta, axis=-1))], axis=-1)
-    elif isinstance(kind, PositiveOrdered):
+    else:  # PositiveOrdered
         zeta = np.log(np.diff(theta, axis=-1, prepend=0.0))
-    else:
-        raise TypeError(f"unknown transform kind {kind!r}")
     return zeta.ravel().tolist()
 
 
@@ -289,8 +292,8 @@ class BlockSpec:
     scalar: bool = False
 
     def __post_init__(self):
-        if self.rows is not None and self.rows < 1:
-            raise ValueError(f"block {self.name}: rows must be >= 1")
+        if self.rows is not None:
+            _check_count(f"block {self.name}", "rows", self.rows, 1)
         if self.scalar and (self.rows is not None
                             or constrained_dim(self.kind) != 1):
             raise ValueError(
@@ -300,12 +303,3 @@ class BlockSpec:
     def unconstrained_size(self) -> int:
         per_row = unconstrained_dim(self.kind)
         return per_row * (self.rows if self.rows is not None else 1)
-
-    def column_names(self) -> list[str]:
-        """Flattened 1-based column labels for the constrained value."""
-        d = constrained_dim(self.kind)
-        if self.rows is None:
-            return [f"{self.name}.{j}" for j in range(1, d + 1)]
-        return [f"{self.name}.{r}.{j}"
-                for r in range(1, self.rows + 1)
-                for j in range(1, d + 1)]

@@ -188,6 +188,22 @@ def test_heldout_count_outside_support_exits_2(tmp_path, poisson_files,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, words", [
+    ('{"x": [4, -1, 2.5]}', "count must be a nonnegative integer, got -1"),
+    ('{"y": [4]}', "dataset is missing entry 'x'"),
+], ids=["count_outside_support", "missing_entry"])
+def test_bad_heldout_exits_2_before_fitting(tmp_path, poisson_files, capsys,
+                                            monkeypatch, text, words):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit was called")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    heldout = tmp_path / "h.json"
+    heldout.write_text(text)
+    assert main(_argv(poisson_files, "--heldout", str(heldout))) == 2
+    assert words in capsys.readouterr().err
+
+
 def test_outcome_outside_support_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(2)
     data, _ = zoo.simulate_hier_logistic(rng, 20)

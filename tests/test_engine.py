@@ -11,6 +11,7 @@ from meanfield.engine import FitConfig, OptState, VariationalParams, \
     inverse_standardize, substream
 from meanfield.errors import ConfigurationError, DomainError, \
     EvaluationFailure, ShapeError
+from meanfield.io import write_samples_csv
 from meanfield.model import Dataset, ModelDefinition, \
     log_joint_unconstrained
 from meanfield.transforms import BlockSpec, Identity
@@ -453,14 +454,22 @@ class TestDrawPosterior:
             draws = draw_posterior(model, params, 4, 0)
             assert {k: v.shape for k, v in draws.samples.items()} == shapes
 
-    def test_column_names_and_flatten(self):
+    def test_column_names_and_flatten(self, tmp_path):
+        # the samples CSV lays the draws out one row each, in block order
         model = zoo.make_model("gmm", dims={"K": 2, "D": 1})
         params = VariationalParams(np.zeros(model.dim), np.zeros(model.dim))
         draws = draw_posterior(model, params, 3, 0)
-        assert draws.column_names() == [
+        path = tmp_path / "s.csv"
+        write_samples_csv(draws, path)
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",") == [
             "theta.1", "theta.2", "mu.1.1", "mu.2.1", "sigma.1.1",
             "sigma.2.1"]
-        assert draws.flattened().shape == (3, 6)
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert table.shape == (3, 6)
+        assert table.tolist() == np.concatenate(
+            [draws.samples[name].reshape(3, -1)
+             for name in ("theta", "mu", "sigma")], axis=1).tolist()
 
 
 def test_gradient_estimator_unbiased_light():

@@ -17,6 +17,8 @@ from meanfield.evaluate import heldout_log_predictive
 from meanfield.io import RunManifest, load_dataset, write_diagnostics_csv, \
     write_manifest, write_samples_csv
 from meanfield.model import Dataset
+from meanfield.transforms import constrained_dim
+from util import small_zoo_instance
 
 
 def _poisson_draws(rates):
@@ -368,7 +370,30 @@ class TestLoadDataset:
             load_dataset(p)
 
 
+def _block_columns(block):
+    """The samples-CSV columns of ``block`` by the rule the blocks once
+    carried themselves, kept here as the oracle of the header that
+    ``write_samples_csv`` derives from the shapes of the samples."""
+    d = constrained_dim(block.kind)
+    if block.rows is None:
+        return [f"{block.name}.{j}" for j in range(1, d + 1)]
+    return [f"{block.name}.{r}.{j}"
+            for r in range(1, block.rows + 1)
+            for j in range(1, d + 1)]
+
+
 class TestWriteOutputs:
+    @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+    def test_header_follows_block_layout(self, tmp_path, name):
+        model, _ = small_zoo_instance(name)
+        params = VariationalParams(np.zeros(model.dim), np.zeros(model.dim))
+        path = tmp_path / "s.csv"
+        write_samples_csv(draw_posterior(model, params, 2, 0), path)
+        header, *rows = path.read_text().splitlines()
+        expected = [c for b in model.blocks for c in _block_columns(b)]
+        assert header.split(",") == expected
+        assert [len(row.split(",")) for row in rows] == [len(expected)] * 2
+
     def test_gmm_header_layout(self, tmp_path):
         model = zoo.make_model("gmm", dims={"K": 2, "D": 1})
         params = VariationalParams(np.zeros(model.dim), np.zeros(model.dim))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from meanfield import autodiff as ad
 from meanfield import transforms as tr
+from meanfield.engine import VariationalParams, draw_posterior
 from meanfield.errors import DomainError, ShapeError
+from meanfield.io import write_samples_csv
 from meanfield.model import ModelDefinition, constrain_blocks
 from util import central_diff, numeric_jacobian
 
@@ -42,6 +45,29 @@ def test_kind_validation():
         tr.Ordered(1)
     with pytest.raises(ValueError):
         tr.Identity(0)
+    # a bound that is not finite and a count that is not an integer are
+    # rejected when the kind is built, not when its draws come out NaN
+    for build, words in (
+            (lambda: tr.LowerBound(math.nan), "LowerBound: bound"),
+            (lambda: tr.UpperBound(math.inf), "UpperBound: bound"),
+            (lambda: tr.Interval(0.0, math.inf), "Interval: upper"),
+            (lambda: tr.LowerBound(0.0, 2.5), "LowerBound: dim"),
+            (lambda: tr.Identity(2.0), "Identity: dim"),
+            (lambda: tr.Identity(True), "Identity: dim"),
+            (lambda: tr.Simplex(2.5), "Simplex: size")):
+        with pytest.raises(ValueError, match=words):
+            build()
+
+
+@pytest.mark.parametrize("kind", ["x", SimpleNamespace(dim=1)],
+                         ids=["string", "has_dim"])
+def test_non_kind_rejected(kind):
+    for call in (lambda: tr.constrain(kind, [0.0]),
+                 lambda: tr.check_value(kind, [0.0]),
+                 lambda: tr.unconstrain(kind, [0.0]),
+                 lambda: tr.unconstrained_dim(kind)):
+        with pytest.raises(TypeError, match="unknown transform kind"):
+            call()
 
 
 def test_lower_bound_at_zero():
@@ -342,35 +368,47 @@ def test_simplex_inside_support_for_wide_draws(k):
         tr.check_value(kind, theta)
 
 
+def _one_block_model(block):
+    return ModelDefinition(name="one_block", blocks=(block,),
+                           log_prior=lambda v, data: 0.0,
+                           loglik_term=lambda v, data, idx: 0.0,
+                           num_observations=lambda data: 0)
+
+
 def _layout(block, zeta):
     """The value and log-det ``constrain_blocks`` gives ``block`` as the
     only block of a model."""
-    model = ModelDefinition(name="one_block", blocks=(block,),
-                            log_prior=lambda v, data: 0.0,
-                            loglik_term=lambda v, data, idx: 0.0,
-                            num_observations=lambda data: 0)
-    values, log_det = constrain_blocks(model, zeta)
+    values, log_det = constrain_blocks(_one_block_model(block), zeta)
     return values[block.name], log_det
 
 
+def _header(block, tmp_path):
+    """The samples-CSV columns of ``block`` as the only block of a model."""
+    model = _one_block_model(block)
+    params = VariationalParams(np.zeros(model.dim), np.zeros(model.dim))
+    path = tmp_path / "s.csv"
+    write_samples_csv(draw_posterior(model, params, 2, 0), path)
+    return path.read_text().splitlines()[0].split(",")
+
+
 class TestBlockSpec:
-    def test_scalar_layout(self):
+    def test_scalar_layout(self, tmp_path):
         b = tr.BlockSpec("lam", tr.LowerBound(0.0), scalar=True)
         assert b.unconstrained_size == 1
-        assert b.column_names() == ["lam.1"]
+        assert _header(b, tmp_path) == ["lam.1"]
         value, log_det = _layout(b, [0.0])
         assert value.shape == () and value == 1.0 and log_det == 0.0
         assert tr.unconstrain(b.kind, [value]) == [0.0]
 
-    def test_vector_layout(self):
+    def test_vector_layout(self, tmp_path):
         b = tr.BlockSpec("theta", tr.Simplex(3))
         assert b.unconstrained_size == 2
-        assert b.column_names() == ["theta.1", "theta.2", "theta.3"]
+        assert _header(b, tmp_path) == ["theta.1", "theta.2", "theta.3"]
 
-    def test_row_layout(self):
+    def test_row_layout(self, tmp_path):
         b = tr.BlockSpec("mu", tr.Identity(2), rows=3)
         assert b.unconstrained_size == 6
-        assert b.column_names() == [
+        assert _header(b, tmp_path) == [
             "mu.1.1", "mu.1.2", "mu.2.1", "mu.2.2", "mu.3.1", "mu.3.2"]
         value, log_det = _layout(b, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert value.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
@@ -393,3 +431,6 @@ class TestBlockSpec:
             tr.BlockSpec("x", tr.Identity(1), rows=2, scalar=True)
         with pytest.raises(ValueError):
             tr.BlockSpec("x", tr.Identity(1), rows=0)
+        for rows in (1.5, True):
+            with pytest.raises(ValueError, match="block x: rows"):
+                tr.BlockSpec("x", tr.Identity(1), rows=rows)
