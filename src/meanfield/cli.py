@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             # one draw at the origin: bad held-out data exits before fit
             origin, _ = constrain_blocks(model, [[0.0] * model.dim])
             heldout_log_predictive(
-                model, PosteriorDraws(model.blocks, origin, 1), heldout)
+                model, PosteriorDraws(origin, 1), heldout)
         params, trace = fit(model, data, config)
         draws = draw_posterior(model, params, args.draws,
                                substream(args.seed, STREAM_DRAW))

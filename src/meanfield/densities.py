@@ -10,6 +10,10 @@ naming the distribution; a Poisson count or a Bernoulli outcome outside its
 support is bad data, not a bad draw, and raises :class:`ShapeError` naming
 the first such value.
 
+A count's ``log k!`` is read from a table of ``math.lgamma(i + 1.0)`` that
+is built once per process and grown on demand; counts at or above 2**16
+take ``log_gamma(k + 1.0)`` on each call, with the same bits.
+
 A density whose partial derivatives are elementary is one tape node with
 closed-form partials (:func:`autodiff.node`), whatever the size of its
 arguments. The gamma, inverse-gamma and Dirichlet densities are composed of
@@ -32,6 +36,8 @@ __all__ = [
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_FACTORIAL_CAP = 2 ** 16
+_LOG_FACTORIALS = np.zeros(1)  # log 0! = math.lgamma(1.0) = 0.0
 
 
 def _holds(cond) -> bool:
@@ -39,6 +45,21 @@ def _holds(cond) -> bool:
     if type(cond) is np.ndarray:
         return np.count_nonzero(cond) == cond.size
     return bool(cond)
+
+
+def _log_factorial(k: np.ndarray):
+    """log k! of integral counts ``k``, from the table while it covers them."""
+    global _LOG_FACTORIALS
+    top = int(k.max()) if k.size else 0
+    if top >= _LOG_FACTORIAL_CAP:
+        return ad.log_gamma(k + 1.0)
+    # read once: a rebuild in another thread cannot leave this call short
+    table = _LOG_FACTORIALS
+    if top >= len(table):
+        n = min(max(2 * len(table), top + 1), _LOG_FACTORIAL_CAP)
+        table = np.array([math.lgamma(i + 1.0) for i in range(n)])
+        _LOG_FACTORIALS = table
+    return table[k.astype(np.intp, copy=False)]
 
 
 def _positive(x, dist: str, what: str):
@@ -123,7 +144,7 @@ def poisson(k, rate):
     k = np.asarray(k)
     ok = k >= 0
     if k.dtype.kind not in "iu":
-        ok &= np.floor(k) == k
+        ok &= np.isfinite(k) & (np.floor(k) == k)
     if not _holds(ok):
         raise ShapeError(f"poisson: count must be a nonnegative integer, "
                          f"got {k[~ok][0]}")
@@ -135,7 +156,7 @@ def poisson(k, rate):
     edge = np.where((r == 0.0) & (k == 0), 0.0, -math.inf)
     out = np.where(inside, k * np.log(safe) - safe, edge)
     # k / r - 1, with 0 / 0 read as 0 at count 0
-    return ad.node((rate,), out - ad.log_gamma(k + 1.0),
+    return ad.node((rate,), out - _log_factorial(k),
                    (lambda g: g * (k / np.where(k == 0, 1.0, r) - 1.0),))
 
 

@@ -36,7 +36,6 @@ from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .model import Dataset, ModelDefinition, constrain_blocks, \
     log_joint_unconstrained, minibatch_log_joint
-from .transforms import BlockSpec
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -180,7 +179,6 @@ class PosteriorDraws:
     """Constrained-space samples from the fitted approximation: each
     block's values, in block order, with the draws on the first axis."""
 
-    blocks: tuple[BlockSpec, ...]
     samples: dict[str, np.ndarray]
     size: int
 
@@ -424,4 +422,4 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
     with np.errstate(all="ignore"):
         values, _ = constrain_blocks(model, zeta)
     out = {b.name: np.asarray(values[b.name]) for b in model.blocks}
-    return PosteriorDraws(blocks=model.blocks, samples=out, size=size)
+    return PosteriorDraws(samples=out, size=size)

@@ -109,6 +109,51 @@ def test_poisson_at_rate_zero():
     assert ad.gradient(dens.poisson(0, leaf), [leaf]) == [-1.0]
 
 
+def _poisson_reference(k, rate):
+    # the log mass term by term, log k! from math.lgamma of each count
+    log_rate = np.log(rate)
+    return np.array([kk * log_rate - rate - math.lgamma(kk + 1.0)
+                     for kk in np.ravel(k).tolist()]).reshape(np.shape(k))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_poisson_counts_match_lgamma_bits(dtype):
+    counts = np.arange(301, dtype=dtype)
+    for rate in (0.5, 3.7, 120.0):
+        ref = _poisson_reference(counts, rate)
+        for k in counts:
+            out = dens.poisson(np.asarray(k), rate)
+            assert np.ndim(out) == 0 and out == ref[int(k)]
+        assert dens.poisson(counts, rate).tobytes() == ref.tobytes()
+        grid = counts.reshape(7, 43)
+        assert (dens.poisson(grid, rate).tobytes()
+                == ref.reshape(7, 43).tobytes())
+
+
+def test_poisson_empty_counts_give_an_empty_result():
+    for dtype in (np.int64, np.float64):
+        out = dens.poisson(np.array([], dtype=dtype), 2.0)
+        assert out.shape == (0,)
+
+
+def test_poisson_large_counts_match_lgamma_bits():
+    for k in (65_535, 65_536, 10**12):
+        for counts in (k, np.array([3, k]), np.array([3.0, float(k)])):
+            assert (np.asarray(dens.poisson(counts, 40.0)).tobytes()
+                    == _poisson_reference(counts, 40.0).tobytes())
+    assert len(dens._LOG_FACTORIALS) <= 2**16
+
+
+def test_poisson_small_counts_keep_their_bits_after_large_ones():
+    small = np.array([0, 4, 9, 2])
+    before = dens.poisson(small, 1.5)
+    size = len(dens._LOG_FACTORIALS)
+    dens.poisson(np.array([1, 5000]), 1.5)
+    assert len(dens._LOG_FACTORIALS) >= max(size, 5001)
+    assert dens.poisson(small, 1.5).tobytes() == before.tobytes()
+    assert before.tobytes() == _poisson_reference(small, 1.5).tobytes()
+
+
 def test_bernoulli_mass_sums_to_one():
     for logit in (-30.0, -2.0, 0.0, 1.5, 30.0):
         total = math.exp(dens.bernoulli_logit(0, logit)) + \
@@ -220,6 +265,11 @@ def test_domain_errors_name_the_distribution():
         dens.bernoulli_logit(np.array([0, 2, 3]), 0.0)
     with pytest.raises(ShapeError, match=r"^poisson: .* got -1$"):
         dens.poisson(-1, 1.0)
+    # floor(inf) == inf, so integrality alone would let inf through
+    with pytest.raises(ShapeError, match=r"^poisson: .* got inf$"):
+        dens.poisson(np.inf, 2.0)
+    with pytest.raises(ShapeError, match=r"^poisson: .* got inf$"):
+        dens.poisson(np.array([1.0, np.inf]), 2.0)
 
 
 def test_bernoulli_logit_extreme_values_are_finite():

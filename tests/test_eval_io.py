@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meanfield
 from meanfield import densities as dens
 from meanfield import evaluate, zoo
 from meanfield.engine import PosteriorDraws, VariationalParams, \
@@ -24,7 +29,6 @@ from util import small_zoo_instance
 def _poisson_draws(rates):
     model = zoo.make_model("poisson_exponential")
     return model, PosteriorDraws(
-        blocks=model.blocks,
         samples={"lam": np.asarray(rates, dtype=float)},
         size=len(rates))
 
@@ -93,9 +97,7 @@ class TestHeldoutLogPredictive:
         theta = np.array([[[0.5, 0.5]], [[0.3, 0.7]]])  # (draws, U, K)
         beta = np.array([[[0.0, 0.0], [1.0, 2.0]],
                          [[1.5, 0.5], [0.5, 1.0]]])  # (draws, I, K)
-        draws = PosteriorDraws(blocks=model.blocks,
-                               samples={"theta": theta, "beta": beta},
-                               size=2)
+        draws = PosteriorDraws(samples={"theta": theta, "beta": beta}, size=2)
         rates = np.einsum("suk,sik->sui", theta, beta)[:, 0, :]
         assert rates[0, 0] == 0.0 and (np.delete(rates, 0) > 0.0).all()
         report = heldout_log_predictive(
@@ -161,8 +163,7 @@ class TestHeldoutLogPredictive:
         beta[0, 5] = 0.0
         y = rng.poisson(1.5, size=items)
         y[5] = 3
-        draws = PosteriorDraws(blocks=model.blocks,
-                               samples={"theta": theta, "beta": beta},
+        draws = PosteriorDraws(samples={"theta": theta, "beta": beta},
                                size=draws_n)
         assert draws_n * items > evaluate._SCORES_AT_ONCE
         report = heldout_log_predictive(
@@ -459,11 +460,36 @@ class TestWriteOutputs:
                                  allow_nan=False), min_size=1, max_size=8))
 def test_17_digit_format_round_trips(tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("fmt")
-    model = zoo.make_model("poisson_exponential")
-    draws = PosteriorDraws(blocks=model.blocks,
-                           samples={"lam": np.asarray(values)},
+    draws = PosteriorDraws(samples={"lam": np.asarray(values)},
                            size=len(values))
     path = tmp / "s.csv"
     write_samples_csv(draws, path)
     parsed = [float(line) for line in path.read_text().splitlines()[1:]]
     assert parsed == list(np.asarray(values))
+
+
+_FIT_AND_SCORE = """
+import sys
+import numpy as np
+from meanfield import FitConfig, draw_posterior, fit, zoo
+from meanfield.evaluate import heldout_log_predictive
+
+rng = np.random.default_rng(5)
+for name, (data, _) in [
+        ("dirichlet_exponential_nmf", zoo.simulate_nmf_counts(rng, 3, 4, 2)),
+        ("poisson_exponential", zoo.simulate_poisson_exponential(rng, 5))]:
+    model = zoo.model_for_data(name, data, {"K": 2} if "nmf" in name else {})
+    params, _ = fit(model, data, FitConfig(max_iterations=20, seed=0))
+    draws = draw_posterior(model, params, 10, rng)
+    heldout_log_predictive(model, draws, data)
+assert 'scipy' not in sys.modules
+"""
+
+
+def test_fitting_and_scoring_a_zoo_model_does_not_load_scipy():
+    # only log_gamma of a tape variable needs scipy (its digamma), and no
+    # zoo model takes one; a scipy log k! would load it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(meanfield.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", _FIT_AND_SCORE], env=env,
+                   check=True)
