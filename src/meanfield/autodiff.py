@@ -13,11 +13,10 @@ between evaluations.
 
 Primitives broadcast as numpy does: arithmetic (the :class:`Var`
 operators), the elementwise :func:`exp`, :func:`log`, :func:`sqrt`,
-:func:`logistic`, :func:`softplus`, :func:`log_gamma` and :func:`power`,
-the reductions :func:`sum` and :func:`log_sum_exp` over an axis, indexing
-(``x[key]``, integer-array lookups included), :func:`cumsum`,
-:func:`concat`, :func:`stack` and ``Var.reshape``; :func:`dot` contracts
-the last axis. An operand that is not a Var is a constant: it is captured
+:func:`logistic`, :func:`softplus` and :func:`log_gamma`, the reductions
+:func:`sum` and :func:`log_sum_exp` over an axis, indexing (``x[key]``,
+integer-array lookups included), :func:`cumsum`, :func:`concat`,
+:func:`stack` and ``Var.reshape``; :func:`dot` contracts the last axis. An operand that is not a Var is a constant: it is captured
 inside the node that uses it and never becomes a node of its own.
 
 Each primitive is defined once. Given no Var operand it computes the value
@@ -48,7 +47,6 @@ __all__ = [
     "logistic",
     "softplus",
     "log_gamma",
-    "power",
     "node",
     "sum",
     "log_sum_exp",
@@ -187,12 +185,6 @@ class Var:
     def __rtruediv__(self, other):
         return _div(other, self)
 
-    def __pow__(self, other):
-        return power(self, other)
-
-    def __rpow__(self, other):
-        return power(other, self)
-
     def __neg__(self):
         return self.graph._push((self.i,), -self.val, lambda g: (-g,))
 
@@ -259,7 +251,8 @@ def node(operands: Sequence, out, partials: Sequence):
     node when an operand is a Var (and returned as it is otherwise).
 
     ``partials[k](g)`` maps the node's adjoint ``g`` to the adjoint of
-    operand k in the broadcast shape of ``out``. The sweep calls it for Var
+    operand k in the broadcast shape of ``out`` (or in the operand's own
+    shape, for a reduction such as a log-det). The sweep calls it for Var
     operands only and sums the result back to the operand's shape; other
     operands are constants captured by the partials, never nodes. This is
     how a density over a whole array becomes one node with closed-form
@@ -305,15 +298,6 @@ def _div(x, y):
 
 def _same(g):
     return g
-
-
-def power(x, y):
-    vx, vy = value(x), value(y)
-    if _any(vx <= 0.0):
-        raise DomainError(f"pow: base must be > 0, got {np.min(vx)}")
-    out = np.power(vx, vy)
-    return node((x, y), out, (lambda g: g * vy * out / vx,
-                              lambda g: g * out * np.log(vx)))
 
 
 # -- elementwise functions ----------------------------------------------------

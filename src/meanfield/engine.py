@@ -24,6 +24,7 @@ manifests) so output files stay byte-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -98,26 +99,28 @@ class FitConfig:
     init: str = "zero"  # "zero" or "gaussian"
 
     def __post_init__(self):
-        if self.grad_samples < 1:
-            raise ConfigurationError("grad_samples must be >= 1")
-        if self.elbo_samples < 1:
-            raise ConfigurationError("elbo_samples must be >= 1")
+        counts = [("grad_samples", 1), ("elbo_samples", 1), ("window", 1),
+                  ("eval_interval", 1), ("max_iterations", 0)]
+        if self.minibatch is not None:
+            counts.append(("minibatch", 1))
+        for name, least in counts:
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not self.step_scale > 0.0:  # written so that NaN fails
             raise ConfigurationError(
                 f"step_scale must be > 0, got {self.step_scale}")
-        if self.window < 1:
-            raise ConfigurationError("window must be >= 1")
         if not self.threshold > 0.0:
             raise ConfigurationError(
                 f"threshold must be > 0, got {self.threshold}")
-        if self.eval_interval < 1:
-            raise ConfigurationError("eval_interval must be >= 1")
-        if self.max_iterations < 0:
-            raise ConfigurationError("max_iterations must be >= 0")
+        if not 0.0 < self.step_offset < math.inf:
+            raise ConfigurationError(
+                f"step_offset must be finite and > 0, got {self.step_offset}")
         if self.seed < 0:  # SeedSequence takes no negative entropy
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.minibatch is not None and self.minibatch < 1:
-            raise ConfigurationError("minibatch must be >= 1")
         if self.init not in ("zero", "gaussian"):
             raise ConfigurationError(
                 f"init must be 'zero' or 'gaussian', got {self.init!r}")

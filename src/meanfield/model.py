@@ -30,7 +30,7 @@ those arrays; evaluators read ``data[name]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
@@ -115,6 +115,11 @@ class Dataset:
         return name in self._arrays
 
 
+# kinds whose adjacent blocks share one transform call when their bounds
+# are equal: each maps every coordinate on its own
+_MERGEABLE = (tr.LowerBound, tr.UpperBound, tr.Interval)
+
+
 @dataclass(frozen=True)
 class ModelDefinition:
     """Parameter blocks plus a differentiable log joint, split into a prior
@@ -147,6 +152,51 @@ class ModelDefinition:
         """Total unconstrained dimension (sum over blocks)."""
         return sum(b.unconstrained_size for b in self.blocks)
 
+    @cached_property
+    def runs(self) -> tuple:
+        """The blocks in packed order, grouped for :func:`constrain_blocks`.
+
+        A run is a maximal sequence of adjacent LowerBound, UpperBound or
+        Interval blocks of one kind with equal bounds (their dims may
+        differ), or a single block of another kind: an Identity run would
+        add a slice and save none. A run is ``(kind, cut, rows,
+        members)``: the kind over the run's coordinates ``zeta[..., cut]``
+        (``cut`` None for all of them), the ``(rows, k)`` shape they take
+        first for a single per-row block, and one ``(name, key, shape)``
+        per block: its value is the run's value at ``[..., key]`` (all of
+        it if None), reshaped to ``(..., *shape)`` if shape is not None.
+        """
+        groups = []
+        for b in self.blocks:
+            last = groups[-1][-1].kind if groups else None
+            if (isinstance(b.kind, _MERGEABLE) and type(last) is type(b.kind)
+                    and replace(last, dim=b.kind.dim) == b.kind):
+                groups[-1].append(b)
+            else:
+                groups.append([b])
+        runs, start = [], 0
+        for group in groups:
+            size = sum(b.unconstrained_size for b in group)
+            cut = None if size == self.dim else slice(start, start + size)
+            start += size
+            if len(group) == 1:
+                b, = group
+                rows = (None if b.rows is None
+                        else (b.rows, tr.unconstrained_dim(b.kind)))
+                shape = () if b.scalar else None
+                runs.append((b.kind, cut, rows, ((b.name, None, shape),)))
+                continue
+            members, at = [], 0
+            for b in group:
+                n = b.unconstrained_size
+                key = at if b.scalar else slice(at, at + n)
+                shape = None if b.rows is None else (b.rows, b.kind.dim)
+                members.append((b.name, key, shape))
+                at += n
+            kind = replace(group[0].kind, dim=size)
+            runs.append((kind, cut, None, tuple(members)))
+        return tuple(runs)
+
     def block(self, name: str) -> tr.BlockSpec:
         for b in self.blocks:
             if b.name == name:
@@ -160,11 +210,12 @@ def constrain_blocks(model: ModelDefinition, zeta):
     ``zeta`` is a float array, a Var or a sequence of scalars (scalar tape
     leaves are stacked into one vector), with ``model.dim`` coordinates on
     its last axis; a leading axis, one row per posterior draw, is carried
-    into every value. This is the one place the packed layout is read:
-    each block's slice is reshaped to ``(..., rows, k)`` for a per-row
-    block, mapped by :func:`transforms.constrain`, and reshaped to the
-    leading shape for a scalar block. Returns ``(values, log_det)`` where
-    ``log_det`` is the summed Jacobian correction over all blocks (and
+    into every value. This is the one place the packed layout is read. It
+    walks ``model.runs``: each run's coordinates are sliced once and mapped
+    by one :func:`transforms.constrain` call, then each block's value is
+    cut out of the run's: an index for a scalar block, a slice reshaped to
+    ``(..., rows, k)`` for a per-row block. Returns ``(values, log_det)``
+    where ``log_det`` is the summed Jacobian correction over all runs (and
     rows), or None when every block is Identity, which has none.
     """
     zeta = ad.as_array(zeta)
@@ -177,16 +228,17 @@ def constrain_blocks(model: ModelDefinition, zeta):
     lead = dims[:-1]
     values: dict[str, Any] = {}
     log_det = None
-    offset = 0
-    for b in model.blocks:
-        n = b.unconstrained_size
-        part = zeta if n == dim else zeta[..., offset:offset + n]
-        offset += n
-        if b.rows is not None:
-            part = part.reshape(lead + (b.rows, tr.unconstrained_dim(b.kind)))
-        theta, ld = tr.constrain(b.kind, part)
-        values[b.name] = theta.reshape(lead) if b.scalar else theta
-        if not isinstance(b.kind, tr.Identity):  # its log_det is 0
+    for kind, cut, rows, members in model.runs:
+        part = zeta if cut is None else zeta[..., cut]
+        if rows is not None:
+            part = part.reshape(lead + rows)
+        theta, ld = tr.constrain(kind, part)
+        for name, key, shape in members:
+            value = theta if key is None else theta[(..., key) if lead
+                                                    else key]
+            values[name] = value if shape is None \
+                else value.reshape(lead + shape)
+        if not isinstance(kind, tr.Identity):  # its log_det is 0
             log_det = ld if log_det is None else log_det + ld
     return values, log_det
 

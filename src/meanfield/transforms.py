@@ -5,7 +5,9 @@ vector zeta and back, and reports log|det J| of the constraining direction
 (unconstrained -> constrained) so densities can be corrected for the change
 of variables. :func:`constrain` is an array expression over the last axis,
 on float arrays or tape values alike, so gradients flow through the
-transform and its Jacobian term. :func:`unconstrain` and
+transform and its Jacobian term. An elementwise kind (LowerBound,
+UpperBound, Interval) records its value and its log-det as one tape node
+each, with closed-form partials. :func:`unconstrain` and
 :func:`check_value` are float array expressions over the same axes (they
 initialize from or inspect constrained values, never differentiated).
 
@@ -168,15 +170,24 @@ def constrain(kind: TransformKind, zeta):
     _check_len(kind, dims[-1] if dims else None, unconstrained_dim(kind))
     if isinstance(kind, Identity):
         return zeta, 0.0
-    if isinstance(kind, LowerBound):
-        return kind.bound + ad.exp(zeta), ad.sum(zeta)
-    if isinstance(kind, UpperBound):
-        return kind.bound - ad.exp(zeta), ad.sum(zeta)
+    v = ad.value(zeta)
+    if isinstance(kind, (LowerBound, UpperBound)):
+        e = np.exp(v)
+        if isinstance(kind, LowerBound):
+            theta = ad.node((zeta,), kind.bound + e, (lambda g: g * e,))
+        else:
+            theta = ad.node((zeta,), kind.bound - e, (lambda g: -g * e,))
+        return theta, ad.sum(zeta)
     if isinstance(kind, Interval):
         width = kind.upper - kind.lower
-        theta = kind.lower + width * ad.logistic(zeta)
+        s = ad.logistic(v)
+        theta = ad.node((zeta,), kind.lower + width * s,
+                        (lambda g: g * width * s * (1.0 - s),))
         # log s + log(1-s) == z - 2*softplus(z)
-        log_det = ad.sum(math.log(width) + zeta - 2.0 * ad.softplus(zeta))
+        log_det = ad.node(
+            (zeta,),
+            ad.sum(math.log(width) + v - 2.0 * ad.softplus(v)),
+            (lambda g: g * (1.0 - 2.0 * s),))
         return theta, log_det
     if isinstance(kind, Simplex):
         # With t = zeta - offsets and c the running sum of softplus(t), the

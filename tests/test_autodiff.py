@@ -99,9 +99,6 @@ _PRIMITIVES = [
     ("sqrt", lambda g, v: ad.sqrt(v[0]),
      lambda v: math.sqrt(v[0]),
      lambda rng: [rng.uniform(0.1, 6.0)]),
-    ("pow", lambda g, v: v[0] ** v[1],
-     lambda v: v[0] ** v[1],
-     lambda rng: [rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0)]),
     ("logistic", lambda g, v: ad.logistic(v[0]),
      lambda v: 1.0 / (1.0 + math.exp(-v[0])),
      lambda rng: [rng.normal(0, 3)]),
@@ -185,8 +182,6 @@ def test_domain_errors():
         ad.sqrt(g.leaf(-1.0))
     with pytest.raises(DomainError, match="div"):
         g.leaf(1.0) / g.leaf(0.0)
-    with pytest.raises(DomainError, match="pow"):
-        g.leaf(-2.0) ** g.leaf(2.0)
     with pytest.raises(DomainError, match="log_gamma"):
         ad.log_gamma(g.leaf(0.0))
 

@@ -284,6 +284,23 @@ class TestFitConfig:
             FitConfig(step_scale=0.0)
         with pytest.raises(ConfigurationError, match="seed.*-1"):
             FitConfig(seed=-1)
+        # counts are integers, not bools or floats that fail later or
+        # round; step_offset is finite and > 0, so a step never divides by 0
+        for name, value in [
+                ("eval_interval", 2.5), ("grad_samples", 1.5),
+                ("window", 2.5), ("max_iterations", 3.0),
+                ("elbo_samples", 10.0), ("minibatch", 2.0),
+                ("grad_samples", True), ("minibatch", True), ("window", 0),
+                ("minibatch", 0)]:
+            with pytest.raises(ConfigurationError,
+                               match=f"{name} must be an integer.*{value}"):
+                FitConfig(**{name: value})
+        for value in (math.nan, -1.0, 0.0, math.inf):
+            with pytest.raises(ConfigurationError,
+                               match=f"step_offset.*{value}"):
+                FitConfig(step_offset=value)
+        c = FitConfig(grad_samples=np.int64(2), minibatch=5, step_offset=0.5)
+        assert (c.grad_samples, c.minibatch, c.step_offset) == (2, 5, 0.5)
 
 
 class TestFit:

@@ -10,12 +10,13 @@ import pytest
 
 import meanfield
 from meanfield import autodiff as ad
+from meanfield import transforms as tr
 from meanfield import zoo
 from meanfield.errors import ConfigurationError, ShapeError
 from meanfield.model import Dataset, ModelDefinition, \
     log_joint_unconstrained, minibatch_log_joint, constrain_blocks
-from meanfield.transforms import BlockSpec, Identity, LowerBound, \
-    PositiveOrdered, Simplex
+from meanfield.transforms import BlockSpec, Identity, Interval, LowerBound, \
+    PositiveOrdered, Simplex, UpperBound
 from util import central_diff, gaussian_toy, EMPTY_DATA, \
     small_zoo_instance as _small_instance
 
@@ -247,6 +248,117 @@ def test_all_identity_model_has_no_log_det():
     # leaf, two slices, two sums and the prior's add: no log-det node
     assert len(g) == 6
     assert ad.gradient(out, [z])[0].tolist() == [1.0] * 4
+
+
+# Nodes per gradient of each small instance on one array leaf. The counts
+# are deterministic; a change that grows a tape must update this table.
+_TAPE_NODES = {
+    "poisson_exponential": 9, "linreg_ard": 32, "hier_logistic": 64,
+    "gamma_poisson_nmf": 32, "dirichlet_exponential_nmf": 35, "gmm": 38,
+    "gmm_minibatch": 38,
+}
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_tape_nodes_per_gradient(name):
+    model, data = _small_instance(name)
+    g = ad.Graph()
+    z = g.leaf(np.full(model.dim, 0.1))
+    ad.gradient(log_joint_unconstrained(model, data, z), [z])
+    assert len(g) == _TAPE_NODES[name]
+
+
+_MIXED_BLOCKS = (
+    BlockSpec("a", LowerBound(0.0), scalar=True),
+    BlockSpec("b", LowerBound(0.0, 2), rows=3),  # one run with a
+    BlockSpec("c", LowerBound(1.0, 2)),  # another bound: a new run
+    BlockSpec("d", Simplex(3)),
+    BlockSpec("e", LowerBound(0.0, 2)),
+    BlockSpec("f", Interval(0.0, 100.0), scalar=True),
+    BlockSpec("g", Interval(0.0, 100.0, 2), rows=2),  # one run with f
+    BlockSpec("h", Interval(0.0, 1.0), scalar=True),
+    BlockSpec("i", Identity(2)),
+    BlockSpec("j", Identity(1), scalar=True),
+    BlockSpec("k", UpperBound(2.0, 2), rows=2),
+    BlockSpec("l", UpperBound(2.0), scalar=True),
+    BlockSpec("m", PositiveOrdered(3), rows=2),
+)
+
+
+def _per_block_constrain(blocks, zeta):
+    """One transforms.constrain call per block, as the layout reads."""
+    lead = zeta.shape[:-1]
+    values, log_det, offset = {}, 0.0, 0
+    for b in blocks:
+        part = zeta[..., offset:offset + b.unconstrained_size]
+        offset += b.unconstrained_size
+        if b.rows is not None:
+            part = part.reshape(lead + (b.rows, tr.unconstrained_dim(b.kind)))
+        theta, ld = tr.constrain(b.kind, part)
+        values[b.name] = theta.reshape(lead) if b.scalar else theta
+        log_det += ld
+    return values, log_det
+
+
+def _mixed_model():
+    return ModelDefinition("mixed", _MIXED_BLOCKS, log_prior=None,
+                           loglik_term=None, num_observations=None)
+
+
+def test_runs_merge_only_equal_elementwise_kinds():
+    model = _mixed_model()
+    assert [kind for kind, *_ in model.runs] == [
+        LowerBound(0.0, 7), LowerBound(1.0, 2), Simplex(3),
+        LowerBound(0.0, 2), Interval(0.0, 100.0, 5), Interval(0.0, 1.0),
+        Identity(2), Identity(1), UpperBound(2.0, 5), PositiveOrdered(3)]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "draws"])
+def test_run_layout_equals_per_block_constrain(lead):
+    model = _mixed_model()
+    rng = np.random.default_rng(21)
+    zeta = rng.normal(0.0, 1.5, lead + (model.dim,))
+    values, log_det = constrain_blocks(model, zeta)
+    ref, ref_log_det = _per_block_constrain(model.blocks, zeta)
+    assert list(values) == list(ref)
+    for name, want in ref.items():
+        got = np.asarray(values[name])
+        assert got.shape == np.shape(want)
+        assert np.array_equal(got, want), name
+    # a run's log-det is one sum over its coordinates, so it is added in
+    # another order than the sum of per-block sums
+    assert log_det == pytest.approx(ref_log_det,
+                                    rel=64 * np.finfo(float).eps)
+
+    g = ad.Graph()
+    z = g.leaf(zeta)
+    values, log_det = constrain_blocks(model, z)
+    for name, want in ref.items():
+        assert np.array_equal(values[name].val, want), name
+    weights = {name: rng.normal(0.0, 1.0, np.shape(v))
+               for name, v in ref.items()}
+
+    def total(vals, ld):
+        return ld + sum(ad.sum(weights[n] * v) for n, v in vals.items())
+
+    grad = ad.gradient(total(values, log_det), [z])[0]
+    fd = central_diff(
+        lambda flat: total(*_per_block_constrain(
+            model.blocks, np.reshape(flat, zeta.shape))),
+        zeta.ravel(), h=1e-5)
+    assert grad.ravel() == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_scalar_run_log_det_is_bit_identical_to_per_block():
+    # hier_logistic's scales are five one-coordinate Interval blocks:
+    # summed in one run or block by block, the log-det has the same bits
+    model, _ = _small_instance("hier_logistic")
+    zeta = np.random.default_rng(5).normal(0.0, 1.5, model.dim)
+    values, log_det = constrain_blocks(model, zeta)
+    ref, ref_log_det = _per_block_constrain(model.blocks, zeta)
+    assert log_det == ref_log_det
+    for name, want in ref.items():
+        assert np.array_equal(values[name], want)
 
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
