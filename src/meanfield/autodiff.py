@@ -15,9 +15,11 @@ Primitives broadcast as numpy does: arithmetic (the :class:`Var`
 operators), the elementwise :func:`exp`, :func:`log`, :func:`sqrt`,
 :func:`logistic`, :func:`softplus` and :func:`log_gamma`, the reductions
 :func:`sum` and :func:`log_sum_exp` over an axis, indexing (``x[key]``,
-integer-array lookups included), :func:`cumsum`, :func:`concat`,
-:func:`stack` and ``Var.reshape``; :func:`dot` contracts the last axis. An operand that is not a Var is a constant: it is captured
-inside the node that uses it and never becomes a node of its own.
+integer-array lookups included, and :func:`take` along an axis),
+:func:`cumsum`, :func:`concat`, :func:`stack` and ``Var.reshape``;
+:func:`dot` contracts the last axis. An operand that is not a Var is a
+constant: it is captured inside the node that uses it and never becomes a
+node of its own.
 
 Each primitive is defined once. Given no Var operand it computes the value
 with numpy and records nothing, which is the tape-free path of objective
@@ -50,6 +52,7 @@ __all__ = [
     "node",
     "sum",
     "log_sum_exp",
+    "take",
     "cumsum",
     "concat",
     "stack",
@@ -140,8 +143,10 @@ class Var:
     def __getitem__(self, key):
         x = self.val
         # an integer-array index may repeat an element; a basic one cannot
-        fancy = any(isinstance(k, (np.ndarray, list))
-                    for k in (key if type(key) is tuple else (key,)))
+        if type(key) is tuple:
+            fancy = any(isinstance(k, (np.ndarray, list)) for k in key)
+        else:
+            fancy = isinstance(key, (np.ndarray, list))
 
         def vjp(g):
             out = np.zeros(x.shape)
@@ -394,11 +399,14 @@ def log_gamma(x):
 # -- reductions and structure -------------------------------------------------
 
 def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
-    """Sum over ``axis`` (all axes when None)."""
+    """Sum over ``axis``, an int or a tuple of ints (all axes when None)."""
     # np.add.reduce is what np.sum calls, without its Python-level wrapper
     if type(x) is not Var:
         return np.add.reduce(x, axis=axis)
     src = x.shape
+    if axis is not None and len(src) == (
+            len(axis) if type(axis) is tuple else 1):
+        axis = None  # the axes cover x: record the cheaper vjp of a total
 
     def vjp(g):
         if axis is None:
@@ -432,6 +440,20 @@ def log_sum_exp(x, axis=-1):
         return (np.expand_dims(g, axis) * w,)
 
     return x.graph._push((x.i,), out, vjp)
+
+
+def take(x, idx, axis=-1):
+    """``x`` at the integer indices ``idx`` along ``axis``, as np.take.
+
+    A model gathers with it, counting ``axis`` from the end, so that the
+    leading draw axes of a float value pass through; a Var (one draw) is
+    indexed as ``x[idx]`` when ``axis`` is its first axis."""
+    if type(x) is np.ndarray:
+        return x.take(idx, axis=axis)  # without np.take's Python wrapper
+    if type(x) is not Var:
+        return np.take(x, idx, axis=axis)
+    lead = x.val.ndim + axis if axis < 0 else axis
+    return x[idx if lead == 0 else (slice(None),) * lead + (idx,)]
 
 
 def cumsum(x, axis=-1):

@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .model import Dataset, ModelDefinition, constrain_blocks, \
-    log_joint_unconstrained, minibatch_log_joint
+    draw_chunks, log_joint_unconstrained, minibatch_log_joint
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -84,6 +84,11 @@ class VariationalParams:
         return self.mu.shape[0]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     grad_samples: int = 1
@@ -105,11 +110,14 @@ class FitConfig:
             counts.append(("minibatch", 1))
         for name, least in counts:
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)
-                    or value < least):
+            if not _is_integer(value) or value < least:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        if not _is_integer(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not self.step_scale > 0.0:  # written so that NaN fails
             raise ConfigurationError(
                 f"step_scale must be > 0, got {self.step_scale}")
@@ -119,8 +127,6 @@ class FitConfig:
         if not 0.0 < self.step_offset < math.inf:
             raise ConfigurationError(
                 f"step_offset must be finite and > 0, got {self.step_offset}")
-        if self.seed < 0:  # SeedSequence takes no negative entropy
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.init not in ("zero", "gaussian"):
             raise ConfigurationError(
                 f"init must be 'zero' or 'gaussian', got {self.init!r}")
@@ -211,19 +217,19 @@ def _elbo_and_drops(model, data, params, n_samples, rng):
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     gen = np.random.default_rng(rng)
-    values = []
+    # one value per draw; NaN marks a draw out of the domain
+    joints = np.full(n_samples, math.nan)
     # a wild draw may overflow: it is dropped, not reported as a warning
     with np.errstate(all="ignore"):
         # one (S, dim) draw holds the same numbers as S draws of dim
         zetas = inverse_standardize(
             params, gen.standard_normal((n_samples, params.dim)))
-        for zeta in zetas:
-            try:
-                v = log_joint_unconstrained(model, data, zeta)
-            except DomainError:
-                continue
-            if math.isfinite(v):
-                values.append(v)
+        for key, v in draw_chunks(
+                lambda key: log_joint_unconstrained(model, data, zetas[key]),
+                n_samples, model.num_observations(data)):
+            if v is not None:
+                joints[key] = v
+    values = joints[np.isfinite(joints)].tolist()
     if not values:
         raise EvaluationFailure(
             f"all {n_samples} objective samples were non-finite")
@@ -238,10 +244,11 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     Averages the transformed log joint over draws from the current
     approximation and adds the Gaussian entropy in closed form. The draws
     are taken and standardized as one ``(n_samples, dim)`` array, then
-    evaluated one at a time, each as one array expression over the data.
-    Draws whose evaluation is non-finite or out of domain are dropped (fit
-    counts them in ``ElboTrace.elbo_draws_dropped``); if every draw fails,
-    raises :class:`EvaluationFailure`.
+    evaluated in chunks of draws (:func:`model.draw_chunks`), each chunk
+    as one array expression over the draws and the data. Draws whose
+    evaluation is non-finite or out of domain are dropped (fit counts them
+    in ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
+    :class:`EvaluationFailure`.
     """
     return _elbo_and_drops(model, data, params, n_samples, rng)[0]
 

@@ -7,17 +7,18 @@ whose sum runs over each point's draws in sorted order, so it does not
 depend on the order of the draws; the outer mean is an exact (fsum) sum
 over points, so it does not depend on their order either.
 
-Each draw scores a chunk of points with one ``loglik_term`` call, and the
-contract with the model is this: a :class:`DomainError` from
-``loglik_term`` concerns the whole draw, which then scores log 0 (-inf) at
-every point of the chunk, and a point the draw gives zero probability (a
-count above 0 at a Poisson rate of exactly 0, say) scores -inf by value,
-that pair only. The zoo keeps it with one known exception: a NaN cell rate
-in the two factorization models (inf times 0, which needs ``exp`` to
-overflow and underflow in one draw) zeroes that draw on its chunk, not
-only that (draw, cell) pair. A NaN log likelihood is an evaluation
-failure, and held-out data outside the likelihood's support raises
-:class:`ShapeError`, as training data does.
+A chunk of draws scores a chunk of points with one ``loglik_term`` call,
+on a leading draw axis, and the contract with the model is this: a
+:class:`DomainError` from ``loglik_term`` concerns the draws of the call;
+the chunk is rerun one draw at a time, and a draw that raises alone scores
+log 0 (-inf) at every point of the chunk; a point the draw gives zero
+probability (a count above 0 at a Poisson rate of exactly 0, say) scores
+-inf by value, that pair only. The zoo keeps it with one known
+exception: a NaN cell rate in the two factorization models (inf times 0,
+which needs ``exp`` to overflow and underflow in one draw) zeroes that
+draw on its chunk, not only that (draw, cell) pair. A NaN log likelihood
+is an evaluation failure, and held-out data outside the likelihood's
+support raises :class:`ShapeError`, as training data does.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PosteriorDraws
-from .errors import ConfigurationError, DomainError, EvaluationFailure, \
-    ShapeError
-from .model import Dataset, ModelDefinition
+from .errors import ConfigurationError, EvaluationFailure, ShapeError
+from .model import Dataset, ModelDefinition, draw_chunks
 
 __all__ = ["EvalReport", "heldout_log_predictive"]
 
@@ -52,34 +52,35 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
                            heldout: Dataset) -> EvalReport:
     """Score held-out data under the posterior predictive of ``draws``.
 
-    Loops over draws; each draw scores a chunk of points as one array
-    expression. At most ``_SCORES_AT_ONCE`` (draw, point) scores are held at
-    a time. A draw whose call raises :class:`DomainError` scores log 0
-    on that chunk.
+    Takes the points in chunks; a chunk of draws scores a chunk of points
+    as one array expression (:func:`model.draw_chunks`). At most
+    ``_SCORES_AT_ONCE`` (draw, point) scores are held at a time. A draw
+    whose own call raises :class:`DomainError` scores log 0 on that chunk.
     """
     if draws.size < 1:
         raise ConfigurationError("need at least one posterior draw")
     num_points = model.num_observations(heldout)
     if num_points < 1:
         raise ConfigurationError("held-out dataset has no observations")
-    per_draw = [{name: arr[s] for name, arr in draws.samples.items()}
-                for s in range(draws.size)]
     step = max(1, _SCORES_AT_ONCE // draws.size)
     point_scores = []
     failed_index = None
     for start in range(0, num_points, step):
         idx = np.arange(start, min(start + step, num_points))
+
+        def score(key):
+            return model.loglik_term(
+                {name: arr[key] for name, arr in draws.samples.items()},
+                heldout, idx)
+
         # one row per point: each point's draws are contiguous, so every
         # point's sum runs the same way whatever the chunk's width
         logliks = np.empty((len(idx), draws.size))
         try:
             with np.errstate(all="ignore"):
-                for s, values in enumerate(per_draw):
-                    try:
-                        logliks[:, s] = model.loglik_term(values, heldout,
-                                                          idx)
-                    except DomainError:  # the draw is out of the domain
-                        logliks[:, s] = -math.inf
+                for key, out in draw_chunks(score, draws.size, len(idx)):
+                    # a draw out of the domain scores log 0
+                    logliks[:, key] = -math.inf if out is None else out.T
         except ShapeError:  # data outside the likelihood's support
             raise
         except (IndexError, TypeError, KeyError, ValueError) as exc:

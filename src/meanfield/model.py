@@ -17,11 +17,21 @@ is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
 index array (``arange(N)`` for the full data, the batch for a minibatch)
 returns one term per index; with an int ``idx`` it returns that single
 term. The likelihood is the sum of those terms, so
-:func:`minibatch_log_joint` can subsample any model. A
-:class:`DomainError` from ``loglik_term`` concerns the whole draw (the
-engine drops or redraws it, held-out scoring gives it log 0); a point the
-draw gives zero probability scores -inf; data outside the likelihood's
-support raises :class:`ShapeError`.
+:func:`minibatch_log_joint` can subsample any model.
+
+On the tape-free float path, values may carry leading draw axes, one
+posterior draw per index: :func:`constrain_blocks` carries them from the
+rows of ``zeta`` into every value and returns the log-det per draw,
+``log_prior`` returns one value per draw, ``loglik_term`` returns shape
+``(..., len(idx))``, and the joint sums the likelihood over the last
+axis. Objective estimates and held-out scoring evaluate draws that way,
+a chunk per call (:func:`draw_chunks`); a tape value (one gradient draw)
+has none. A :class:`DomainError` from a call concerns the draws of the
+call: a chunk that raises is rerun one draw at a time, and a draw that
+raises alone is out of the domain (the engine drops or redraws it,
+held-out scoring gives it log 0); a point the draw gives zero
+probability scores -inf; data outside the likelihood's support raises
+:class:`ShapeError`.
 
 A :class:`Dataset` checks and converts each entry to a numpy array once,
 when it is built, whether it comes from JSON or from code, and holds only
@@ -39,12 +49,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transforms as tr
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 
 __all__ = [
     "Dataset",
     "ModelDefinition",
     "constrain_blocks",
+    "draw_chunks",
     "log_joint_unconstrained",
     "minibatch_log_joint",
 ]
@@ -115,6 +126,9 @@ class Dataset:
         return name in self._arrays
 
 
+# (draw, point) pairs one model call of draw_chunks scores at most
+_PAIRS_PER_CALL = 4096
+
 # kinds whose adjacent blocks share one transform call when their bounds
 # are equal: each maps every coordinate on its own
 _MERGEABLE = (tr.LowerBound, tr.UpperBound, tr.Interval)
@@ -126,9 +140,10 @@ class ModelDefinition:
     part and per-observation likelihood terms.
 
     ``log_prior(values, data)`` and ``loglik_term(values, data, idx)``
-    receive the constrained block values keyed by block name. ``idx`` is an
-    int or a 1-D integer array of observation indices; the result is the
-    term of that observation, or an array of one term per index.
+    receive the constrained block values keyed by block name, with any
+    leading draw axes. ``idx`` is an int or a 1-D integer array of
+    observation indices; the result is the term of that observation, or
+    an array of one term per index on the last axis, per draw.
     The likelihood is the sum of the terms over all observations, so
     scaling the sum over a uniformly drawn batch by N/B is unbiased for
     every model: any model can be subsampled.
@@ -215,8 +230,8 @@ def constrain_blocks(model: ModelDefinition, zeta):
     by one :func:`transforms.constrain` call, then each block's value is
     cut out of the run's: an index for a scalar block, a slice reshaped to
     ``(..., rows, k)`` for a per-row block. Returns ``(values, log_det)``
-    where ``log_det`` is the summed Jacobian correction over all runs (and
-    rows), or None when every block is Identity, which has none.
+    where ``log_det`` is the Jacobian correction per draw, summed over all
+    runs (and rows), or None when every block is Identity, which has none.
     """
     zeta = ad.as_array(zeta)
     dims = zeta.shape
@@ -232,7 +247,7 @@ def constrain_blocks(model: ModelDefinition, zeta):
         part = zeta if cut is None else zeta[..., cut]
         if rows is not None:
             part = part.reshape(lead + rows)
-        theta, ld = tr.constrain(kind, part)
+        theta, ld = tr.constrain(kind, part, len(lead))
         for name, key, shape in members:
             value = theta if key is None else theta[(..., key) if lead
                                                     else key]
@@ -249,7 +264,7 @@ def _joint(model, data, zeta, idx, scale):
     if log_det is not None:
         out = out + log_det
     if len(idx):
-        lik = ad.sum(model.loglik_term(values, data, idx))
+        lik = ad.sum(model.loglik_term(values, data, idx), -1)
         if scale is not None:
             lik = scale * lik
         out = out + lik
@@ -290,3 +305,35 @@ def minibatch_log_joint(model: ModelDefinition, data: Dataset,
         raise ConfigurationError(
             f"minibatch index {outside[0]} outside [0, {total})")
     return _joint(model, data, zeta, idx, total / len(idx))
+
+
+def draw_chunks(score: Callable[[Any], Any], num_draws: int, points: int):
+    """Evaluate ``score`` over ``num_draws`` draws, one call per chunk.
+
+    ``score(key)`` evaluates the draws at ``key``: a slice of two or more
+    draws, and the result has a leading draw axis, or one draw's int
+    index, and the result has none (the one-draw path). A chunk holds
+    ``_PAIRS_PER_CALL // points`` draws (at least one), so that a call
+    scores a bounded number of (draw, point) pairs. A chunk that raises
+    :class:`DomainError` is rerun one draw at a time: the error is charged
+    to the draws that raise it alone. Yields ``(key, result)`` in draw
+    order, with result None for a draw that raised.
+    """
+    size = max(1, _PAIRS_PER_CALL // max(points, 1))
+    for start in range(0, num_draws, size):
+        stop = min(start + size, num_draws)
+        if stop - start > 1:
+            key = slice(start, stop)
+            try:
+                result = score(key)
+            except DomainError:
+                pass
+            else:
+                yield key, result
+                continue
+        for s in range(start, stop):
+            try:
+                result = score(s)
+            except DomainError:
+                result = None
+            yield s, result

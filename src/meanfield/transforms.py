@@ -155,21 +155,23 @@ def _stick_offsets(k: int) -> np.ndarray:
     return np.log(np.arange(k - 1, 0, -1, dtype=float))
 
 
-def constrain(kind: TransformKind, zeta):
+def constrain(kind: TransformKind, zeta, draws: int = 0):
     """Map unconstrained ``zeta`` into the support of ``kind``.
 
     ``zeta`` is a float array, a Var or a sequence of scalars, with the
-    kind's unconstrained dimension as its last axis; leading axes (rows of
-    a block, posterior draws) are mapped independently. Returns
-    ``(theta, log_det)``: ``theta`` has the constrained dimension as its
-    last axis and ``log_det`` is log|det J| of the map, summed over every
-    leading index.
+    kind's unconstrained dimension as its last axis; leading axes (posterior
+    draws, then rows of a block) are mapped independently. The first
+    ``draws`` axes are draws. Returns ``(theta, log_det)``: ``theta`` has
+    the constrained dimension as its last axis and ``log_det`` is log|det
+    J| of the map per draw, summed over the other axes (a scalar when
+    ``draws`` is 0).
     """
     zeta = ad.as_array(zeta)
     dims = zeta.shape
     _check_len(kind, dims[-1] if dims else None, unconstrained_dim(kind))
     if isinstance(kind, Identity):
         return zeta, 0.0
+    axes = tuple(range(draws, len(dims))) if draws else None
     v = ad.value(zeta)
     if isinstance(kind, (LowerBound, UpperBound)):
         e = np.exp(v)
@@ -177,7 +179,7 @@ def constrain(kind: TransformKind, zeta):
             theta = ad.node((zeta,), kind.bound + e, (lambda g: g * e,))
         else:
             theta = ad.node((zeta,), kind.bound - e, (lambda g: -g * e,))
-        return theta, ad.sum(zeta)
+        return theta, ad.sum(zeta, axes)
     if isinstance(kind, Interval):
         width = kind.upper - kind.lower
         s = ad.logistic(v)
@@ -186,8 +188,9 @@ def constrain(kind: TransformKind, zeta):
         # log s + log(1-s) == z - 2*softplus(z)
         log_det = ad.node(
             (zeta,),
-            ad.sum(math.log(width) + v - 2.0 * ad.softplus(v)),
-            (lambda g: g * (1.0 - 2.0 * s),))
+            ad.sum(math.log(width) + v - 2.0 * ad.softplus(v), axes),
+            (lambda g: (g if axes is None else np.expand_dims(g, axes))
+             * (1.0 - 2.0 * s),))
         return theta, log_det
     if isinstance(kind, Simplex):
         # With t = zeta - offsets and c the running sum of softplus(t), the
@@ -202,12 +205,12 @@ def constrain(kind: TransformKind, zeta):
         log_head = t - c
         theta = ad.exp(ad.concat([log_head, -c[..., -1:]]))
         # sum of log(stick) + log s + log(1 - s) over the pieces
-        return theta, ad.sum(log_head - sp)
+        return theta, ad.sum(log_head - sp, axes)
     if isinstance(kind, Ordered):
         steps = ad.concat([zeta[..., :1], ad.exp(zeta[..., 1:])])
-        return ad.cumsum(steps), ad.sum(zeta[..., 1:])
+        return ad.cumsum(steps), ad.sum(zeta[..., 1:], axes)
     # PositiveOrdered
-    return ad.cumsum(ad.exp(zeta)), ad.sum(zeta)
+    return ad.cumsum(ad.exp(zeta)), ad.sum(zeta, axes)
 
 
 def _require(kind, inside, values, message):

@@ -3,7 +3,8 @@
 Six ready-made models under seven names, each returning a
 :class:`ModelDefinition` whose log joint is an array expression,
 differentiable through the tape; a batch of observations is one
-likelihood call:
+likelihood call, and on the float path so is a chunk of posterior draws
+on a leading axis:
 
 * ``poisson_exponential`` - Poisson counts with an Exponential(rate) prior
   on the rate; the smallest nonconjugate example.
@@ -52,6 +53,28 @@ __all__ = ["ZOO_NAMES", "make_model", "model_for_data",
            "simulate_hier_logistic", "simulate_nmf_counts", "simulate_gmm"]
 
 
+def _each_point(x, core=0):
+    """Block value ``x``, with ``core`` axes of its own, given an axis of
+    length 1 after its leading draw axes, so that a per-draw value
+    broadcasts against per-point data (or a per-draw scalar against a
+    per-draw vector). Without draw axes it broadcasts already and is
+    returned as it is: a one-draw tape gains no node."""
+    shape = getattr(x, "shape", ())  # a Var's too; a float has none
+    lead = len(shape) - core
+    if lead == 0:
+        return x
+    return x.reshape(shape[:lead] + (1,) + shape[lead:])
+
+
+def _column(x, j):
+    """Entry ``j`` of the last axis of vector block value ``x``, as
+    :func:`_each_point` would give it: ``x[j]`` without draw axes (a
+    scalar, on the tape too), else ``x[..., j, None]``."""
+    if len(getattr(x, "shape", ())) == 1:
+        return x[j]
+    return x[..., j, None]
+
+
 def _build_poisson_exponential(hypers, dims):
     rate = hypers["rate"]
 
@@ -59,7 +82,7 @@ def _build_poisson_exponential(hypers, dims):
         return dens.exponential(v["lam"], rate)
 
     def loglik(v, data, idx):
-        return dens.poisson(data["x"][idx], v["lam"])
+        return dens.poisson(data["x"][idx], _each_point(v["lam"]))
 
     return ModelDefinition(
         name="poisson_exponential",
@@ -78,13 +101,14 @@ def _build_linreg_ard(hypers, dims):
     def log_prior(v, data):
         w, sigma2, alpha = v["w"], v["sigma2"], v["alpha"]
         return (dens.inverse_gamma(sigma2, a0, b0)
-                + ad.sum(dens.gamma(alpha, c0, d0))
-                + ad.sum(dens.normal(w, 0.0,
-                                     ad.sqrt(sigma2) / ad.sqrt(alpha))))
+                + ad.sum(dens.gamma(alpha, c0, d0), -1)
+                + ad.sum(dens.normal(w, 0.0, ad.sqrt(_each_point(sigma2))
+                                     / ad.sqrt(alpha)), -1))
 
     def loglik(v, data, idx):
-        mean = ad.dot(data["x"][idx], v["w"])
-        return dens.normal(data["y"][idx], mean, ad.sqrt(v["sigma2"]))
+        mean = ad.dot(data["x"][idx], _each_point(v["w"], 1))
+        return dens.normal(data["y"][idx], mean,
+                           ad.sqrt(_each_point(v["sigma2"])))
 
     return ModelDefinition(
         name="linreg_ard",
@@ -110,24 +134,24 @@ def _build_hier_logistic(hypers, dims):
     sizes = {g: dims[n] for g, n in zip(_HIER_GROUPS, _HIER_DIMS)}
 
     def log_prior(v, data):
-        out = ad.sum(dens.normal(v["beta"], 0.0, 100.0))
+        out = ad.sum(dens.normal(v["beta"], 0.0, 100.0), -1)
         for g in _HIER_GROUPS:
             scale = v[f"sigma_{g}"]
             out = (out + dens.uniform(scale, 0.0, 100.0)
-                   + ad.sum(dens.normal(v[g], 0.0, scale)))
+                   + ad.sum(dens.normal(v[g], 0.0, _each_point(scale)), -1))
         return out
 
     def loglik(v, data, idx):
         beta = v["beta"]
         female = data["female"][idx]
         black = data["black"][idx]
-        yhat = (beta[0]
-                + beta[1] * black
-                + beta[2] * female
-                + beta[4] * (female * black)
-                + beta[3] * data["v_prev_full"][idx])
+        yhat = (_column(beta, 0)
+                + _column(beta, 1) * black
+                + _column(beta, 2) * female
+                + _column(beta, 4) * (female * black)
+                + _column(beta, 3) * data["v_prev_full"][idx])
         for g in _HIER_GROUPS:
-            yhat = yhat + v[g][data[_HIER_INDEX[g]][idx]]
+            yhat = yhat + ad.take(v[g], data[_HIER_INDEX[g]][idx])
         return dens.bernoulli_logit(data["y"][idx], yhat)
 
     blocks = tuple(BlockSpec(g, Identity(sizes[g])) for g in _HIER_GROUPS)
@@ -161,7 +185,8 @@ def _nmf_loglik(v, data, idx):
     # observation idx is cell divmod(idx, I) of the U x I count matrix
     y = data["y"]
     u, i = np.divmod(idx, y.shape[1])
-    return dens.poisson(y[u, i], ad.dot(v["theta"][u], v["beta"][i]))
+    rate = ad.dot(ad.take(v["theta"], u, -2), ad.take(v["beta"], i, -2))
+    return dens.poisson(y[u, i], rate)
 
 
 def _build_gamma_poisson_nmf(hypers, dims):
@@ -169,8 +194,8 @@ def _build_gamma_poisson_nmf(hypers, dims):
     a, b, c, d = (hypers[key] for key in ("a", "b", "c", "d"))
 
     def log_prior(v, data):
-        return (ad.sum(dens.gamma(v["theta"], a, b))
-                + ad.sum(dens.gamma(v["beta"], c, d)))
+        return (ad.sum(dens.gamma(v["theta"], a, b), (-2, -1))
+                + ad.sum(dens.gamma(v["beta"], c, d), (-2, -1)))
 
     return ModelDefinition(
         name="gamma_poisson_nmf",
@@ -191,8 +216,8 @@ def _build_dirichlet_exponential_nmf(hypers, dims):
     alpha_vec = np.full(k, alpha0)
 
     def log_prior(v, data):
-        return (ad.sum(dens.dirichlet(v["theta"], alpha_vec))
-                + ad.sum(dens.exponential(v["beta"], lambda0)))
+        return (ad.sum(dens.dirichlet(v["theta"], alpha_vec), -1)
+                + ad.sum(dens.exponential(v["beta"], lambda0), (-2, -1)))
 
     return ModelDefinition(
         name="dirichlet_exponential_nmf",
@@ -216,15 +241,17 @@ def _build_gmm(hypers, dims):
 
     def log_prior(v, data):
         return (dens.dirichlet(v["theta"], alpha_vec)
-                + ad.sum(dens.normal(v["mu"], 0.0, mu_sigma0))
-                + ad.sum(dens.lognormal(v["sigma"], 0.0, sigma_sigma0)))
+                + ad.sum(dens.normal(v["mu"], 0.0, mu_sigma0), (-2, -1))
+                + ad.sum(dens.lognormal(v["sigma"], 0.0, sigma_sigma0),
+                         (-2, -1)))
 
     def loglik(v, data, idx):
-        # (..., 1, D) points against (K, D) components: log theta_k plus
-        # the diagonal normal density, log-sum-exp over k
+        # (points, 1, D) against (draws, 1, K, D) components: log theta_k
+        # plus the diagonal normal density, log-sum-exp over k
         y = data["y"][idx][..., None, :]
-        comps = (ad.log(v["theta"])
-                 + ad.sum(dens.normal(y, v["mu"], v["sigma"]), axis=-1))
+        comps = (ad.log(_each_point(v["theta"], 1))
+                 + ad.sum(dens.normal(y, _each_point(v["mu"], 2),
+                                      _each_point(v["sigma"], 2)), axis=-1))
         return ad.log_sum_exp(comps, axis=-1)
 
     return ModelDefinition(

@@ -241,3 +241,42 @@ def test_graph_topological_invariant():
     for i, (_, args, _) in enumerate(out.graph.nodes):
         for j in args:
             assert j < i
+
+
+def test_sum_over_every_axis_records_the_total():
+    # axes that cover the value record what axis=None records: the same
+    # value and an adjoint made by np.full, not a broadcast view
+    x = np.arange(12.0).reshape(3, 4)
+    for axis in ((0, 1), (-2, -1)):
+        g = ad.Graph()
+        leaf = g.leaf(x)
+        total, covered = ad.sum(leaf), ad.sum(leaf, axis)
+        assert covered.val == total.val
+        d = g.nodes[covered.i][2](2.0)[0]
+        assert d.flags.writeable and d.tolist() == [[2.0] * 4] * 3
+    g = ad.Graph()
+    row = ad.sum(g.leaf(x[0]), -1)
+    assert g.nodes[row.i][2](1.0)[0].flags.writeable
+    g = ad.Graph()
+    leaf = g.leaf(x)
+    part = ad.sum(leaf, -1)  # a partial sum keeps its own adjoint
+    assert part.val.tolist() == [6.0, 22.0, 38.0]
+    assert ad.gradient(ad.sum(part), [leaf])[0].tolist() == [[1.0] * 4] * 3
+
+
+def test_take_gathers_along_an_axis_of_floats_and_tape_values():
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 1.0, (4, 3))
+    idx = np.array([2, 0, 2, 3])
+    draws = np.stack([x, 2.0 * x])
+    assert np.array_equal(ad.take(draws, idx, -2), draws[:, idx])
+    assert np.array_equal(ad.take(x[:, 0], idx), x[idx, 0])
+    g = ad.Graph()
+    leaf = g.leaf(x)
+    rows = ad.take(leaf, idx, -2)  # the first axis: recorded as x[idx]
+    assert np.array_equal(rows.val, x[idx])
+    grad = ad.gradient(ad.sum(rows), [leaf])[0]
+    assert grad[:, 0].tolist() == [1.0, 0.0, 2.0, 1.0]  # repeats add up
+    cols = ad.take(leaf, np.array([1, 1]), -1)
+    grad = ad.gradient(ad.sum(cols), [leaf])[0]
+    assert grad.tolist() == [[0.0, 2.0, 0.0]] * 4

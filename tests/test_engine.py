@@ -32,9 +32,9 @@ def _flat_model(value=0.0):
 def _half_failing_model():
     """Flat joint, out of domain wherever z > 0. Its gradient is 0, so mu
     stays 0 and a draw fails exactly when its standard normal eta is > 0:
-    on half of the draws."""
+    on half of the draws. A chunk of draws fails when any of them does."""
     def log_prior(v, data):
-        if ad.value(v["z"]) > 0.0:
+        if np.any(ad.value(v["z"]) > 0.0):
             raise DomainError("z > 0")
         return 0.0 * v["z"]
 
@@ -101,8 +101,9 @@ class TestEstimateElbo:
 
     def test_equals_draw_by_draw_loop(self):
         # the reference is the loop the estimate replaced: one draw of dim
-        # standard normals at a time, standardized and scored on its own
-        for name in ("poisson_exponential", "linreg_ard", "gmm"):
+        # standard normals at a time, standardized and scored on its own;
+        # the estimate scores the 4 draws as one chunk
+        for name in zoo.ZOO_NAMES:
             model, data = small_zoo_instance(name)
             rng = np.random.default_rng(8)
             p = VariationalParams(rng.normal(0.0, 0.5, model.dim),
@@ -284,6 +285,12 @@ class TestFitConfig:
             FitConfig(step_scale=0.0)
         with pytest.raises(ConfigurationError, match="seed.*-1"):
             FitConfig(seed=-1)
+        # a float seed failed inside fit, and a bool one ran as 0 or 1
+        for value in (1.5, True):
+            with pytest.raises(ConfigurationError,
+                               match=f"seed must be an integer, got {value}"):
+                FitConfig(seed=value)
+        assert FitConfig(seed=np.int64(3)).seed == 3
         # counts are integers, not bools or floats that fail later or
         # round; step_offset is finite and > 0, so a step never divides by 0
         for name, value in [

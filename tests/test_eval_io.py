@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import meanfield
 from meanfield import densities as dens
-from meanfield import evaluate, zoo
+from meanfield import evaluate, model as model_module, zoo
 from meanfield.engine import PosteriorDraws, VariationalParams, \
     draw_posterior, ElboTrace
 from meanfield.errors import ConfigurationError, DomainError, ShapeError
@@ -110,14 +110,14 @@ class TestHeldoutLogPredictive:
             pytest.approx(0.5 * (cell0 + cell1), abs=1e-12)
 
     def test_draw_raising_domain_error_scores_log_zero(self):
-        # the draw above 5 raises for the whole call: it scores log 0 at
-        # every point, the other draw still counts, and each draw is one
-        # loglik_term call for the chunk
+        # a draw above 5 makes the whole call raise: the chunk of both
+        # draws is rerun one draw at a time, the draw above 5 scores log 0
+        # at every point and the other draw still counts
         calls = []
 
         def loglik(v, data, idx):
             calls.append(idx)
-            if v["lam"] > 5.0:
+            if np.any(v["lam"] > 5.0):
                 raise DomainError("lam > 5")
             return dens.poisson(data["x"][idx], v["lam"])
 
@@ -130,7 +130,7 @@ class TestHeldoutLogPredictive:
         assert report.failed_index is None
         assert report.mean_log_predictive == pytest.approx(oracle,
                                                            abs=1e-12)
-        assert [c.tolist() for c in calls] == [[0, 1, 2], [0, 1, 2]]
+        assert [c.tolist() for c in calls] == [[0, 1, 2]] * 3
 
     def test_count_outside_support_is_shape_error(self):
         model, draws = _poisson_draws([1.0, 2.0])
@@ -200,6 +200,76 @@ class TestHeldoutLogPredictive:
             assert heldout_log_predictive(
                 model, draws, Dataset({"x": moved})).mean_log_predictive \
                 == base.mean_log_predictive
+
+    @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+    def test_chunked_scores_equal_per_draw_oracle(self, name, monkeypatch):
+        # 10 draws in chunks of 3 (the last chunk holds one) against the
+        # one-draw path, which calls loglik_term once per draw, and against
+        # per-draw loglik_term calls reduced by an independent oracle
+        model, data = small_zoo_instance(name)
+        n = model.num_observations(data)
+        rng = np.random.default_rng(12)
+        params = VariationalParams(rng.normal(0.0, 0.5, model.dim),
+                                   rng.normal(-1.0, 0.3, model.dim))
+        draws = draw_posterior(model, params, 10, 5)
+        monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 3 * n)
+        chunked = heldout_log_predictive(model, draws, data)
+        monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 1)
+        one_by_one = heldout_log_predictive(model, draws, data)
+        assert chunked == one_by_one
+        idx = np.arange(n)
+        logliks = np.array([
+            model.loglik_term({k: v[s] for k, v in draws.samples.items()},
+                              data, idx) for s in range(10)])
+        oracle = math.fsum(_log_mean_exp(logliks[:, i].tolist())
+                           for i in range(n)) / n
+        assert chunked.mean_log_predictive == pytest.approx(oracle,
+                                                            rel=1e-12)
+
+    def test_calls_are_bounded_score_each_pair_once_and_rerun_a_failing_chunk(
+            self, monkeypatch):
+        # draw s has rate s + 1, so a call's draws read off its rates; the
+        # draw of rate 5 raises. 4 points per chunk of points (40 scores
+        # held over 10 draws), 12 (draw, point) pairs per call: draws go in
+        # chunks of 3 over the first 4 points and of 4 over the last 3
+        monkeypatch.setattr(evaluate, "_SCORES_AT_ONCE", 40)
+        monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 12)
+        calls = []
+
+        def loglik(v, data, idx):
+            rates = np.atleast_1d(v["lam"])
+            ok = not (rates == 5.0).any()
+            calls.append(((rates - 1).astype(int).tolist(), idx.tolist(), ok))
+            if not ok:
+                raise DomainError("rate 5")
+            return dens.poisson(data["x"][idx], v["lam"][..., None]
+                                if np.ndim(v["lam"]) else v["lam"])
+
+        rates = np.arange(1.0, 11.0)
+        model, draws = _poisson_draws(rates)
+        model = dataclasses.replace(model, loglik_term=loglik)
+        x = [2, 0, 3, 1, 4, 2, 5]
+        report = heldout_log_predictive(model, draws, Dataset({"x": x}))
+        assert [c[:2] for c in calls] == [
+            ([0, 1, 2], [0, 1, 2, 3]), ([3, 4, 5], [0, 1, 2, 3]),
+            ([3], [0, 1, 2, 3]), ([4], [0, 1, 2, 3]), ([5], [0, 1, 2, 3]),
+            ([6, 7, 8], [0, 1, 2, 3]), ([9], [0, 1, 2, 3]),
+            ([0, 1, 2, 3], [4, 5, 6]), ([4, 5, 6, 7], [4, 5, 6]),
+            ([4], [4, 5, 6]), ([5], [4, 5, 6]), ([6], [4, 5, 6]),
+            ([7], [4, 5, 6]), ([8, 9], [4, 5, 6])]
+        assert all(len(d) * len(i) <= 12 for d, i, _ in calls)
+        scored = [(s, i) for d, idx, ok in calls if ok for s in d
+                  for i in idx]
+        assert sorted(scored) == [(s, i) for s in range(10) if s != 4
+                                  for i in range(7)]
+        # the draw of rate 5 scores log 0 at every point
+        oracle = math.fsum(
+            math.log(math.fsum(math.exp(_poisson_lpmf(k, r))
+                               for r in rates if r != 5.0) / 10)
+            for k in x) / len(x)
+        assert report.failed_index is None
+        assert report.mean_log_predictive == pytest.approx(oracle,
+                                                           rel=1e-12)
 
     def test_shape_mismatch_is_config_error(self):
         rng = np.random.default_rng(0)

@@ -286,7 +286,8 @@ _MIXED_BLOCKS = (
 
 
 def _per_block_constrain(blocks, zeta):
-    """One transforms.constrain call per block, as the layout reads."""
+    """One transforms.constrain call per block, as the layout reads; the
+    log-det has one value per leading draw."""
     lead = zeta.shape[:-1]
     values, log_det, offset = {}, 0.0, 0
     for b in blocks:
@@ -294,7 +295,7 @@ def _per_block_constrain(blocks, zeta):
         offset += b.unconstrained_size
         if b.rows is not None:
             part = part.reshape(lead + (b.rows, tr.unconstrained_dim(b.kind)))
-        theta, ld = tr.constrain(b.kind, part)
+        theta, ld = tr.constrain(b.kind, part, len(lead))
         values[b.name] = theta.reshape(lead) if b.scalar else theta
         log_det += ld
     return values, log_det
@@ -339,7 +340,8 @@ def test_run_layout_equals_per_block_constrain(lead):
                for name, v in ref.items()}
 
     def total(vals, ld):
-        return ld + sum(ad.sum(weights[n] * v) for n, v in vals.items())
+        return ad.sum(ld) + sum(ad.sum(weights[n] * v)
+                                for n, v in vals.items())
 
     grad = ad.gradient(total(values, log_det), [z])[0]
     fd = central_diff(
@@ -359,6 +361,30 @@ def test_scalar_run_log_det_is_bit_identical_to_per_block():
     assert log_det == ref_log_det
     for name, want in ref.items():
         assert np.array_equal(values[name], want)
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_draw_axis_equals_per_draw_calls(name):
+    # the float path's contract: with a leading draw axis, every value,
+    # the log-det, the prior, each likelihood term and the joint of draw
+    # s have the bits of the one-draw call on row s
+    model, data = _small_instance(name)
+    zeta = np.random.default_rng(9).normal(0.0, 0.8, (5, model.dim))
+    idx = np.arange(model.num_observations(data))
+    values, log_det = constrain_blocks(model, zeta)
+    prior = model.log_prior(values, data)
+    lik = model.loglik_term(values, data, idx)
+    joint = log_joint_unconstrained(model, data, zeta)
+    assert np.shape(log_det) == prior.shape == joint.shape == (5,)
+    assert lik.shape == (5, len(idx))
+    for s in range(5):
+        one, one_log_det = constrain_blocks(model, zeta[s])
+        for b in model.blocks:
+            assert np.array_equal(values[b.name][s], one[b.name]), b.name
+        assert log_det[s] == one_log_det
+        assert prior[s] == model.log_prior(one, data)
+        assert np.array_equal(lik[s], model.loglik_term(one, data, idx))
+        assert joint[s] == log_joint_unconstrained(model, data, zeta[s])
 
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
