@@ -126,7 +126,8 @@ class Dataset:
         return name in self._arrays
 
 
-# (draw, point) pairs one model call of draw_chunks scores at most
+# (draw, point) pairs a model call of draw_chunks scores at most, unless
+# a single draw has more points
 _PAIRS_PER_CALL = 4096
 
 # kinds whose adjacent blocks share one transform call when their bounds
