@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .model import Dataset, ModelDefinition, constrain_blocks, \
-    draw_chunks, log_joint_unconstrained, minibatch_log_joint
+    log_joint_draws, log_joint_unconstrained, minibatch_log_joint
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -224,9 +224,7 @@ def _elbo_and_drops(model, data, params, n_samples, rng):
         # one (S, dim) draw holds the same numbers as S draws of dim
         zetas = inverse_standardize(
             params, gen.standard_normal((n_samples, params.dim)))
-        for key, v in draw_chunks(
-                lambda key: log_joint_unconstrained(model, data, zetas[key]),
-                n_samples, model.num_observations(data)):
+        for key, v in log_joint_draws(model, data, zetas):
             if v is not None:
                 joints[key] = v
     values = joints[np.isfinite(joints)].tolist()
@@ -244,8 +242,8 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     Averages the transformed log joint over draws from the current
     approximation and adds the Gaussian entropy in closed form. The draws
     are taken and standardized as one ``(n_samples, dim)`` array, then
-    evaluated in chunks of draws (:func:`model.draw_chunks`), each chunk
-    as one array expression over the draws and the data. Draws whose
+    evaluated in chunks of draws (:func:`model.log_joint_draws`), each
+    chunk as one array expression over the draws and the data. Draws whose
     evaluation is non-finite or out of domain are dropped (fit counts them
     in ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
     :class:`EvaluationFailure`.

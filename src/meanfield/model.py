@@ -56,6 +56,7 @@ __all__ = [
     "ModelDefinition",
     "constrain_blocks",
     "draw_chunks",
+    "log_joint_draws",
     "log_joint_unconstrained",
     "minibatch_log_joint",
 ]
@@ -282,6 +283,16 @@ def log_joint_unconstrained(model: ModelDefinition, data: Dataset, zeta):
     """
     return _joint(model, data, zeta,
                   np.arange(model.num_observations(data)), None)
+
+
+def log_joint_draws(model: ModelDefinition, data: Dataset, zetas):
+    """:func:`log_joint_unconstrained` of each row of the float array
+    ``zetas``, one draw per row, through :func:`draw_chunks` (the index of
+    the full data is built once): yields ``(key, joints)``, joints None
+    for a draw out of the domain."""
+    idx = np.arange(model.num_observations(data))
+    return draw_chunks(lambda key: _joint(model, data, zetas[key], idx, None),
+                       len(zetas), len(idx))
 
 
 def minibatch_log_joint(model: ModelDefinition, data: Dataset,
