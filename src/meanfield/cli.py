@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .engine import STREAM_DRAW, FitConfig, PosteriorDraws, draw_posterior, \
@@ -45,26 +45,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="posterior samples CSV path")
     p.add_argument("--diagnostic", required=True,
                    help="optimization trace CSV path")
-    p.add_argument("--grad-samples", type=int, default=1, metavar="M",
+    p.add_argument("--grad-samples", type=int, metavar="M",
                    help="Monte Carlo samples per gradient estimate")
-    p.add_argument("--elbo-samples", type=int, default=100,
+    p.add_argument("--elbo-samples", type=int,
                    help="Monte Carlo samples per objective estimate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--threshold", type=float, default=0.01,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iters", dest="max_iterations", type=int)
+    p.add_argument("--threshold", type=float,
                    help="relative objective change that counts as converged")
-    p.add_argument("--eval-every", type=int, default=100,
+    p.add_argument("--eval-every", dest="eval_interval", type=int,
                    help="iterations between objective estimates")
-    p.add_argument("--minibatch", type=int, default=None, metavar="B",
+    p.add_argument("--minibatch", type=int, metavar="B",
                    help="subsample B observations per iteration")
     p.add_argument("--draws", type=int, default=1000, metavar="S",
                    help="posterior draws to write")
-    p.add_argument("--init", choices=("zero", "gaussian"), default="zero",
+    p.add_argument("--init", choices=("zero", "gaussian"),
                    help="zero start or a standard-Gaussian draw for mu")
     p.add_argument("--hyper", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="model hyperparameter or dimension (repeatable), "
                         "e.g. --hyper K=3 --hyper alpha0=10")
+    # each FitConfig field is a destination, with FitConfig's default
+    p.set_defaults(**asdict(FitConfig()))
     return p
 
 
@@ -87,6 +89,15 @@ def _parse_hypers(pairs: list[str]) -> dict:
     return settings
 
 
+def _check_file(model, draws, dataset, path):
+    """Score ``dataset`` under ``draws``; bad data raises a
+    :class:`ConfigurationError` that names its file."""
+    try:
+        heldout_log_predictive(model, draws, dataset)
+    except (ConfigurationError, ShapeError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -99,16 +110,8 @@ def main(argv=None) -> int:
         settings = _parse_hypers(args.hyper)
         data = load_dataset(args.data)
         model = model_for_data(args.model, data, settings)
-        config = FitConfig(
-            grad_samples=args.grad_samples,
-            elbo_samples=args.elbo_samples,
-            threshold=args.threshold,
-            eval_interval=args.eval_every,
-            max_iterations=args.max_iters,
-            seed=args.seed,
-            minibatch=args.minibatch,
-            init=args.init,
-        )
+        config = FitConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(FitConfig)})
         if args.draws < 1:
             raise ConfigurationError(
                 f"--draws must be >= 1, got {args.draws}")
@@ -120,11 +123,14 @@ def main(argv=None) -> int:
 
     wall_start = time.perf_counter()
     try:
+        # one draw at the origin scores each dataset once, so that data
+        # the model cannot take exits before fit
+        values, _ = constrain_blocks(model, [[0.0] * model.dim])
+        origin = PosteriorDraws(values, 1)
+        if model.num_observations(data):  # else the fit is prior-only
+            _check_file(model, origin, data, args.data)
         if heldout is not None:
-            # one draw at the origin: bad held-out data exits before fit
-            origin, _ = constrain_blocks(model, [[0.0] * model.dim])
-            heldout_log_predictive(
-                model, PosteriorDraws(origin, 1), heldout)
+            _check_file(model, origin, heldout, args.heldout)
         params, trace = fit(model, data, config)
         draws = draw_posterior(model, params, args.draws,
                                substream(args.seed, STREAM_DRAW))

@@ -24,7 +24,6 @@ manifests) so output files stay byte-reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -86,7 +85,13 @@ class VariationalParams:
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if not _is_integer(value) or value < least:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +114,7 @@ class FitConfig:
         if self.minibatch is not None:
             counts.append(("minibatch", 1))
         for name, least in counts:
-            value = getattr(self, name)
-            if not _is_integer(value) or value < least:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         if not _is_integer(self.seed):
             raise ConfigurationError(
                 f"seed must be an integer, got {self.seed!r}")
@@ -214,8 +216,7 @@ def _entropy(params: VariationalParams) -> float:
 
 def _elbo_and_drops(model, data, params, n_samples, rng):
     """:func:`estimate_elbo` and the number of draws it dropped."""
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
     gen = np.random.default_rng(rng)
     # one value per draw; NaN marks a draw out of the domain
     joints = np.full(n_samples, math.nan)
@@ -272,8 +273,7 @@ def _gradient_sample(model, data, zeta, batch):
 def _counted_gradients(model, data, params, m, rng, batch):
     """Gradient estimate plus the tape elements that produced it and the
     number of draws redrawn."""
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
+    _check_count("m", m, 1)
     if not isinstance(rng, np.random.SeedSequence):
         rng = np.random.SeedSequence(int(rng))
     # children derived by key, not by SeedSequence.spawn(): spawn mutates
@@ -419,8 +419,7 @@ def fit(model: ModelDefinition, data: Dataset,
 def draw_posterior(model: ModelDefinition, params: VariationalParams,
                    size: int, rng) -> PosteriorDraws:
     """Sample the fitted approximation and map draws back to the support."""
-    if size < 1:
-        raise ConfigurationError("size must be >= 1")
+    _check_count("size", size, 1)
     if params.dim != model.dim:
         raise ShapeError(
             f"params have dim {params.dim}, model needs {model.dim}")

@@ -85,7 +85,7 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
             raise
         except (IndexError, TypeError, KeyError, ValueError) as exc:
             raise ConfigurationError(
-                f"held-out data is not shape-compatible with model "
+                f"data is not shape-compatible with model "
                 f"{model.name} at points {start}..{idx[-1]}: {exc}") from exc
         # sorted, the sum does not depend on the order of the draws, and a
         # NaN sorts last: the last column is each point's max or its NaN
@@ -94,7 +94,7 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
         nan = np.isnan(top)
         if nan.any():
             raise EvaluationFailure(
-                f"NaN likelihood at held-out point {idx[nan.argmax()]}")
+                f"NaN likelihood at point {idx[nan.argmax()]}")
         # log-mean-exp in place; a point whose draws all score -inf keeps
         # a shift of 0 and scores log(0) = -inf
         shift = np.where(np.isfinite(top), top, 0.0)

@@ -25,8 +25,11 @@ on a leading axis:
 * ``gmm_minibatch`` - another name for ``gmm``, kept for subsampled runs
   where each iteration scales a random batch's likelihood by N/B.
 
-Dimensions that define the block layout (K, D, U, I, group counts) are
-passed via ``dims``; real-valued prior settings via ``hyperparams``.
+Each model's builder declares its settings, and their defaults, in its
+keyword-only signature, the one place they are written: a parameter with
+a float default is a real-valued prior setting, which :func:`make_model`
+takes in ``hyperparams``; any other parameter is a dimension of the block
+layout (K, D, U, I, group counts), which it takes in ``dims``.
 :func:`model_for_data` infers the data-determined dimensions from a
 dataset, which is what the command line uses. The ``simulate_*`` functions
 return a :class:`Dataset` of the numpy arrays they draw (its ``entries``
@@ -35,9 +38,10 @@ is the JSON form) and the generating values.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import replace
+from typing import Mapping
 
 import numpy as np
 
@@ -75,9 +79,7 @@ def _column(x, j):
     return x[..., j, None]
 
 
-def _build_poisson_exponential(hypers, dims):
-    rate = hypers["rate"]
-
+def _build_poisson_exponential(*, rate=1.0):
     def log_prior(v, data):
         return dens.exponential(v["lam"], rate)
 
@@ -90,14 +92,10 @@ def _build_poisson_exponential(hypers, dims):
         log_prior=log_prior,
         loglik_term=loglik,
         num_observations=lambda data: len(data["x"]),
-        hyperparams=dict(hypers),
     )
 
 
-def _build_linreg_ard(hypers, dims):
-    d = dims["D"]
-    a0, b0, c0, d0 = (hypers[k] for k in ("a0", "b0", "c0", "d0"))
-
+def _build_linreg_ard(*, D, a0=1.0, b0=1.0, c0=1.0, d0=1.0):
     def log_prior(v, data):
         w, sigma2, alpha = v["w"], v["sigma2"], v["alpha"]
         return (dens.inverse_gamma(sigma2, a0, b0)
@@ -113,25 +111,24 @@ def _build_linreg_ard(hypers, dims):
     return ModelDefinition(
         name="linreg_ard",
         blocks=(
-            BlockSpec("w", Identity(d)),
+            BlockSpec("w", Identity(D)),
             BlockSpec("sigma2", LowerBound(0.0), scalar=True),
-            BlockSpec("alpha", LowerBound(0.0, d)),
+            BlockSpec("alpha", LowerBound(0.0, D)),
         ),
         log_prior=log_prior,
         loglik_term=loglik,
         num_observations=lambda data: len(data["y"]),
-        hyperparams=dict(hypers),
     )
 
 
 _HIER_GROUPS = ("a", "b", "c", "d", "e")
 _HIER_INDEX = {"a": "age", "b": "edu", "c": "age_edu", "d": "state",
                "e": "region_full"}
-_HIER_DIMS = ("n_age", "n_edu", "n_age_edu", "n_state", "n_region_full")
 
 
-def _build_hier_logistic(hypers, dims):
-    sizes = {g: dims[n] for g, n in zip(_HIER_GROUPS, _HIER_DIMS)}
+def _build_hier_logistic(*, n_age, n_edu, n_age_edu, n_state, n_region_full):
+    sizes = dict(zip(_HIER_GROUPS,
+                     (n_age, n_edu, n_age_edu, n_state, n_region_full)))
 
     def log_prior(v, data):
         out = ad.sum(dens.normal(v["beta"], 0.0, 100.0), -1)
@@ -165,7 +162,6 @@ def _build_hier_logistic(hypers, dims):
         log_prior=log_prior,
         loglik_term=loglik,
         num_observations=lambda data: len(data["y"]),
-        hyperparams=dict(hypers),
     )
 
 
@@ -189,10 +185,7 @@ def _nmf_loglik(v, data, idx):
     return dens.poisson(y[u, i], rate)
 
 
-def _build_gamma_poisson_nmf(hypers, dims):
-    u, i, k = dims["U"], dims["I"], dims["K"]
-    a, b, c, d = (hypers[key] for key in ("a", "b", "c", "d"))
-
+def _build_gamma_poisson_nmf(*, U, I, K=10, a=1.0, b=1.0, c=1.0, d=1.0):
     def log_prior(v, data):
         return (ad.sum(dens.gamma(v["theta"], a, b), (-2, -1))
                 + ad.sum(dens.gamma(v["beta"], c, d), (-2, -1)))
@@ -200,20 +193,18 @@ def _build_gamma_poisson_nmf(hypers, dims):
     return ModelDefinition(
         name="gamma_poisson_nmf",
         blocks=(
-            BlockSpec("theta", PositiveOrdered(k), rows=u),
-            BlockSpec("beta", LowerBound(0.0, k), rows=i),
+            BlockSpec("theta", PositiveOrdered(K), rows=U),
+            BlockSpec("beta", LowerBound(0.0, K), rows=I),
         ),
         log_prior=log_prior,
         loglik_term=_nmf_loglik,
         num_observations=_nmf_num_observations,
-        hyperparams=dict(hypers),
     )
 
 
-def _build_dirichlet_exponential_nmf(hypers, dims):
-    u, i, k = dims["U"], dims["I"], dims["K"]
-    alpha0, lambda0 = hypers["alpha0"], hypers["lambda0"]
-    alpha_vec = np.full(k, alpha0)
+def _build_dirichlet_exponential_nmf(*, U, I, K=10, alpha0=1000.0,
+                                     lambda0=0.1):
+    alpha_vec = np.full(K, alpha0)
 
     def log_prior(v, data):
         return (ad.sum(dens.dirichlet(v["theta"], alpha_vec), -1)
@@ -222,22 +213,18 @@ def _build_dirichlet_exponential_nmf(hypers, dims):
     return ModelDefinition(
         name="dirichlet_exponential_nmf",
         blocks=(
-            BlockSpec("theta", Simplex(k), rows=u),
-            BlockSpec("beta", LowerBound(0.0, k), rows=i),
+            BlockSpec("theta", Simplex(K), rows=U),
+            BlockSpec("beta", LowerBound(0.0, K), rows=I),
         ),
         log_prior=log_prior,
         loglik_term=_nmf_loglik,
         num_observations=_nmf_num_observations,
-        hyperparams=dict(hypers),
     )
 
 
-def _build_gmm(hypers, dims):
-    k, d = dims["K"], dims["D"]
-    alpha0 = hypers["alpha0"]
-    mu_sigma0 = hypers["mu_sigma0"]
-    sigma_sigma0 = hypers["sigma_sigma0"]
-    alpha_vec = np.full(k, alpha0)
+def _build_gmm(*, K=10, D, alpha0=10000.0, mu_sigma0=0.1,
+               sigma_sigma0=0.1):
+    alpha_vec = np.full(K, alpha0)
 
     def log_prior(v, data):
         return (dens.dirichlet(v["theta"], alpha_vec)
@@ -257,58 +244,61 @@ def _build_gmm(hypers, dims):
     return ModelDefinition(
         name="gmm",
         blocks=(
-            BlockSpec("theta", Simplex(k)),
-            BlockSpec("mu", Identity(d), rows=k),
-            BlockSpec("sigma", LowerBound(0.0, d), rows=k),
+            BlockSpec("theta", Simplex(K)),
+            BlockSpec("mu", Identity(D), rows=K),
+            BlockSpec("sigma", LowerBound(0.0, D), rows=K),
         ),
         log_prior=log_prior,
         loglik_term=loglik,
         num_observations=lambda data: len(data["y"]),
-        hyperparams=dict(hypers),
     )
 
 
-@dataclass(frozen=True)
-class _ZooEntry:
-    builder: Callable[[dict, dict], ModelDefinition]
-    hyper_defaults: Mapping[str, float]
-    dim_names: tuple[str, ...]
-    dim_defaults: Mapping[str, int]
-    infer_dims: Callable[[Dataset], dict]
+def _settings(builder):
+    """A builder's hyperparameters and dimensions, each a dict from name to
+    default in signature order (a dimension without a default maps to
+    ``inspect.Parameter.empty``)."""
+    # a parameter with a float default is a hyperparameter; any other
+    # parameter is a dimension
+    hypers, dims = {}, {}
+    for p in inspect.signature(builder).parameters.values():
+        (hypers if isinstance(p.default, float) else dims)[p.name] = p.default
+    return hypers, dims
 
 
-_ZOO: dict[str, _ZooEntry] = {
-    "poisson_exponential": _ZooEntry(
-        _build_poisson_exponential,
-        {"rate": 1.0}, (), {}, lambda data: {}),
-    "linreg_ard": _ZooEntry(
-        _build_linreg_ard,
-        {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0},
-        ("D",), {},
-        lambda data: {"D": data["x"].shape[1]}),
-    "hier_logistic": _ZooEntry(
-        _build_hier_logistic,
-        {}, _HIER_DIMS, {},
-        lambda data: {n: _single_number(data, n) for n in _HIER_DIMS}),
-    "gamma_poisson_nmf": _ZooEntry(
-        _build_gamma_poisson_nmf,
-        {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
-        ("U", "I", "K"), {"K": 10},
-        lambda data: {"U": data["y"].shape[0], "I": data["y"].shape[1]}),
-    "dirichlet_exponential_nmf": _ZooEntry(
-        _build_dirichlet_exponential_nmf,
-        {"alpha0": 1000.0, "lambda0": 0.1},
-        ("U", "I", "K"), {"K": 10},
-        lambda data: {"U": data["y"].shape[0], "I": data["y"].shape[1]}),
-    "gmm": _ZooEntry(
-        _build_gmm,
-        {"alpha0": 10000.0, "mu_sigma0": 0.1, "sigma_sigma0": 0.1},
-        ("K", "D"), {"K": 10},
-        lambda data: {"D": data["y"].shape[1]}),
+def _hier_dims(data):
+    # each group count is the data entry of its name
+    return {n: _single_number(data, n)
+            for n in _settings(_build_hier_logistic)[1]}
+
+
+def _matrix_dims(data):
+    return {"U": data["y"].shape[0], "I": data["y"].shape[1]}
+
+
+# name -> (builder, the dimensions it infers from a dataset)
+_ZOO = {
+    "poisson_exponential": (_build_poisson_exponential, lambda data: {}),
+    "linreg_ard": (_build_linreg_ard,
+                   lambda data: {"D": data["x"].shape[1]}),
+    "hier_logistic": (_build_hier_logistic, _hier_dims),
+    "gamma_poisson_nmf": (_build_gamma_poisson_nmf, _matrix_dims),
+    "dirichlet_exponential_nmf": (_build_dirichlet_exponential_nmf,
+                                  _matrix_dims),
+    "gmm": (_build_gmm, lambda data: {"D": data["y"].shape[1]}),
 }
 _ZOO["gmm_minibatch"] = _ZOO["gmm"]  # the name subsampled runs use
 
 ZOO_NAMES = tuple(_ZOO)
+
+
+def _entry(name):
+    try:
+        return _ZOO[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown model {name!r}; available: {', '.join(ZOO_NAMES)}"
+        ) from None
 
 
 def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
@@ -319,20 +309,16 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
     (missing ones fall back to defaults where a default exists); each
     must be an integer >= 1 (an integral float such as 3.0 is taken).
     ``hyperparams`` overrides prior settings, each finite and > 0.
-    Unknown names in either mapping are rejected.
+    Unknown names in either mapping are rejected, and so is a dimension
+    the model's transform kinds cannot take (K = 1 for a simplex).
     """
-    try:
-        entry = _ZOO[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown model {name!r}; available: {', '.join(ZOO_NAMES)}"
-        ) from None
-    hypers = dict(entry.hyper_defaults)
+    builder, _ = _entry(name)
+    hypers, dim_defaults = _settings(builder)
     for key, value in (hyperparams or {}).items():
-        if key not in entry.hyper_defaults:
+        if key not in hypers:
             raise ConfigurationError(
                 f"model {name}: unknown hyperparameter {key!r}; "
-                f"accepts {sorted(entry.hyper_defaults) or 'none'}")
+                f"accepts {sorted(hypers) or 'none'}")
         value = float(value)
         # every zoo hyperparameter is a scale, rate, shape or concentration
         if not 0.0 < value < math.inf:
@@ -340,18 +326,19 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
                 f"model {name}: hyperparameter {key} must be finite and "
                 f"> 0, got {value}")
         hypers[key] = value
-    resolved = dict(entry.dim_defaults)
+    resolved = {k: v for k, v in dim_defaults.items()
+                if v is not inspect.Parameter.empty}
     for key, value in (dims or {}).items():
-        if key not in entry.dim_names:
+        if key not in dim_defaults:
             raise ConfigurationError(
                 f"model {name}: unknown dimension {key!r}; "
-                f"accepts {list(entry.dim_names) or 'none'}")
+                f"accepts {list(dim_defaults) or 'none'}")
         if not float(value).is_integer():
             raise ConfigurationError(
                 f"model {name}: dimension {key} must be an integer, "
                 f"got {value}")
         resolved[key] = int(value)
-    missing = [k for k in entry.dim_names if k not in resolved]
+    missing = [k for k in dim_defaults if k not in resolved]
     if missing:
         raise ConfigurationError(
             f"model {name}: missing dimensions {missing}")
@@ -359,7 +346,11 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
         if value < 1:
             raise ConfigurationError(
                 f"model {name}: dimension {key} must be >= 1, got {value}")
-    return entry.builder(hypers, resolved)
+    try:
+        model = builder(**hypers, **resolved)
+    except ValueError as exc:  # a kind that cannot take a dimension
+        raise ConfigurationError(f"model {name}: {exc}") from exc
+    return replace(model, hyperparams=hypers)
 
 
 def model_for_data(name: str, data: Dataset,
@@ -370,19 +361,17 @@ def model_for_data(name: str, data: Dataset,
     ``settings`` mixes hyperparameters and explicit dimensions (e.g. K);
     keys are routed by name. Explicit settings win over inferred values.
     """
-    if name not in _ZOO:
-        raise ConfigurationError(
-            f"unknown model {name!r}; available: {', '.join(ZOO_NAMES)}")
-    entry = _ZOO[name]
+    builder, infer_dims = _entry(name)
     try:
-        dims = dict(entry.infer_dims(data))
+        dims = dict(infer_dims(data))
     except (IndexError, TypeError) as exc:
         raise ConfigurationError(
             f"model {name}: could not infer dimensions from dataset "
             f"({exc})") from exc
+    dim_names = _settings(builder)[1]
     hypers = {}
     for key, value in (settings or {}).items():
-        if key in entry.dim_names:
+        if key in dim_names:
             dims[key] = value
         else:
             hypers[key] = value

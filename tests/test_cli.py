@@ -250,3 +250,48 @@ def test_non_integral_dimension_exits_2(tmp_path, capsys, monkeypatch):
     assert main(argv) == 2
     assert "dimension K must be an integer, got 2.7" in \
         capsys.readouterr().err
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("fit was called")
+
+
+def _run(tmp_path, model, entries, *extra):
+    data_path = tmp_path / "train.json"
+    data_path.write_text(json.dumps(entries))
+    return main(["--model", model, "--data", str(data_path),
+                 "--output", str(tmp_path / "s.csv"),
+                 "--diagnostic", str(tmp_path / "e.csv"), *extra])
+
+
+@pytest.mark.parametrize("model, kind", [
+    ("gmm", "Simplex"), ("gamma_poisson_nmf", "PositiveOrdered"),
+    ("dirichlet_exponential_nmf", "Simplex")])
+def test_dimension_its_kind_cannot_take_exits_2_before_fitting(
+        tmp_path, capsys, monkeypatch, model, kind):
+    monkeypatch.setattr(cli, "fit", _no_fit)
+    entries = {"y": [[1, 0], [0, 2]]}
+    assert _run(tmp_path, model, entries, "--hyper", "K=1") == 2
+    assert f"model {model}: {kind}: size must be an integer >= 2, got 1" \
+        in capsys.readouterr().err
+
+
+def _hier_age_out_of_range():
+    data, _ = zoo.simulate_hier_logistic(np.random.default_rng(2), 20)
+    entries = data.entries
+    entries["age"][3] = entries["n_age"]
+    return entries
+
+
+@pytest.mark.parametrize("model, entries, extra", [
+    ("linreg_ard", {"x": [[1.0, 2.0], [0.5, 1.0]], "y": [1.0, 2.0]},
+     ("--hyper", "D=3")),
+    ("hier_logistic", _hier_age_out_of_range(), ()),
+], ids=["linreg_ard_too_few_columns", "hier_logistic_index_out_of_range"])
+def test_training_data_the_model_cannot_take_exits_2_before_fitting(
+        tmp_path, capsys, monkeypatch, model, entries, extra):
+    monkeypatch.setattr(cli, "fit", _no_fit)
+    assert _run(tmp_path, model, entries, *extra) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'train.json'}: data is not shape-compatible " \
+           f"with model {model}" in err

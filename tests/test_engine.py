@@ -508,3 +508,21 @@ def test_gradient_estimator_unbiased_light():
     assert abs(g_mu[0] - (-mu)) < 4 * se_mu
     # analytic omega gradient: 1 - e^{2 omega}
     assert abs(g_omega[0] - (1.0 - math.exp(2 * omega))) < 0.05
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda model, p, n: estimate_gradients(model, EMPTY_DATA, p, n, 0), "m"),
+    (lambda model, p, n: estimate_elbo(model, EMPTY_DATA, p, n, 0),
+     "n_samples"),
+    (lambda model, p, n: draw_posterior(model, p, n, 0), "size"),
+], ids=["estimate_gradients", "estimate_elbo", "draw_posterior"])
+def test_draw_counts_are_checked_as_fit_config_counts(call, name):
+    # True ran as one draw, and a float raised a bare TypeError
+    toy = gaussian_toy()
+    p = VariationalParams([0.0], [0.0])
+    for value in (True, 2.5, 2.0, 0):
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be an integer >= 1, "
+                                 f"got {value!r}"):
+            call(toy, p, value)
+    call(toy, p, np.int64(2))

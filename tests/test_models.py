@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,49 @@ def test_hyper_defaults():
                              "sigma_sigma0": 0.1}
     m = zoo.make_model("linreg_ard", dims={"D": 3})
     assert m.hyperparams == {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
+
+
+# per model: hyperparameter defaults, dimension names in order, dimension
+# defaults
+_GMM_SETTINGS = ({"alpha0": 10000.0, "mu_sigma0": 0.1, "sigma_sigma0": 0.1},
+                 ("K", "D"), {"K": 10})
+ZOO_SETTINGS = {
+    "poisson_exponential": ({"rate": 1.0}, (), {}),
+    "linreg_ard": ({"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0},
+                   ("D",), {}),
+    "hier_logistic": ({}, ("n_age", "n_edu", "n_age_edu", "n_state",
+                           "n_region_full"), {}),
+    "gamma_poisson_nmf": ({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+                          ("U", "I", "K"), {"K": 10}),
+    "dirichlet_exponential_nmf": ({"alpha0": 1000.0, "lambda0": 0.1},
+                                  ("U", "I", "K"), {"K": 10}),
+    "gmm": _GMM_SETTINGS,
+    "gmm_minibatch": _GMM_SETTINGS,
+}
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_zoo_settings(name):
+    hypers, dim_names, dim_defaults = ZOO_SETTINGS[name]
+    # the errors list the dimension names in order
+    accepts = f"accepts {list(dim_names) or 'none'}"
+    with pytest.raises(ConfigurationError, match=re.escape(accepts)):
+        zoo.make_model(name, dims={"nosuch": 1})
+    required = [k for k in dim_names if k not in dim_defaults]
+    if required:
+        missing = f"missing dimensions {required}"
+        with pytest.raises(ConfigurationError, match=re.escape(missing)):
+            zoo.make_model(name)
+    sizes = {k: 2 for k in required}
+    m = zoo.make_model(name, dims=sizes)
+    assert list(m.hyperparams.items()) == list(hypers.items())
+    # an omitted dimension takes its default
+    assert m.blocks == zoo.make_model(name, dims={**sizes,
+                                                 **dim_defaults}).blocks
+    if dim_defaults:
+        changed = {k: v + 1 for k, v in dim_defaults.items()}
+        assert m.blocks != zoo.make_model(name, dims={**sizes,
+                                                     **changed}).blocks
 
 
 def test_poisson_exponential_layout():
