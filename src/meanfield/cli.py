@@ -21,7 +21,7 @@ from .engine import STREAM_DRAW, FitConfig, PosteriorDraws, draw_posterior, \
     fit, substream
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
-from .evaluate import heldout_log_predictive
+from .evaluate import heldout_log_predictive, num_points
 from .io import RunManifest, load_dataset, write_outputs
 from .model import constrain_blocks
 from .zoo import ZOO_NAMES, model_for_data
@@ -89,11 +89,13 @@ def _parse_hypers(pairs: list[str]) -> dict:
     return settings
 
 
-def _check_file(model, draws, dataset, path):
-    """Score ``dataset`` under ``draws``; bad data raises a
-    :class:`ConfigurationError` that names its file."""
+def _check_file(model, draws, dataset, path, may_be_empty=False):
+    """Score ``dataset`` under ``draws``, unless it has no points and
+    ``may_be_empty``; bad data raises a :class:`ConfigurationError` that
+    names its file."""
     try:
-        heldout_log_predictive(model, draws, dataset)
+        if not may_be_empty or num_points(model, dataset):
+            heldout_log_predictive(model, draws, dataset)
     except (ConfigurationError, ShapeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -127,8 +129,8 @@ def main(argv=None) -> int:
         # the model cannot take exits before fit
         values, _ = constrain_blocks(model, [[0.0] * model.dim])
         origin = PosteriorDraws(values, 1)
-        if model.num_observations(data):  # else the fit is prior-only
-            _check_file(model, origin, data, args.data)
+        # training data with no points is a prior-only fit
+        _check_file(model, origin, data, args.data, may_be_empty=True)
         if heldout is not None:
             _check_file(model, origin, heldout, args.heldout)
         params, trace = fit(model, data, config)

@@ -5,12 +5,12 @@ diag(exp(2*omega))). Each iteration draws standard-Gaussian samples,
 inverts the standardization zeta = exp(omega)*eta + mu, differentiates the
 transformed log joint on a fresh tape, and takes an adaptive-stepsize
 ascent step; the stepsize uses the summed squared gradients of a sliding
-window (finite-memory variant of the accumulate-everything schedule).
+window (finite-memory variant of the accumulate-everything schedule). Its
+offset (1) and window (10 steps) are fixed, as in ADVI.
 
-Randomness is derived from a single seed through named substreams
-(`SeedSequence(seed, spawn_key=(kind, iteration[, sample]))`), so gradient
-samples could be evaluated in parallel without changing results, and reruns
-with one seed are bit-identical.
+Every generator comes from :func:`substream`, at a named position
+`(seed, kind, iteration[, sample])`, so gradient samples could be evaluated
+in parallel without changing results, and reruns are bit-identical.
 
 The trace's elapsed_ms column is a deterministic work clock: cumulative
 array elements produced by the gradient tapes (the sizes of every tape
@@ -27,7 +27,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -99,17 +99,17 @@ class FitConfig:
     grad_samples: int = 1
     elbo_samples: int = 100
     step_scale: float = 0.1
-    step_offset: float = 1.0
-    window: int = 10
     threshold: float = 0.01
     eval_interval: int = 100
     max_iterations: int = 1000
     seed: int = 0
     minibatch: int | None = None
     init: str = "zero"  # "zero" or "gaussian"
+    step_offset: ClassVar[float] = 1.0  # tau: a constant, not a setting
+    window: ClassVar[int] = 10  # squared-gradient window: a constant too
 
     def __post_init__(self):
-        counts = [("grad_samples", 1), ("elbo_samples", 1), ("window", 1),
+        counts = [("grad_samples", 1), ("elbo_samples", 1),
                   ("eval_interval", 1), ("max_iterations", 0)]
         if self.minibatch is not None:
             counts.append(("minibatch", 1))
@@ -120,15 +120,12 @@ class FitConfig:
                 f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # SeedSequence takes no negative entropy
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if not self.step_scale > 0.0:  # written so that NaN fails
+        if not 0.0 < self.step_scale < math.inf:  # written so NaN fails
             raise ConfigurationError(
-                f"step_scale must be > 0, got {self.step_scale}")
+                f"step_scale must be finite and > 0, got {self.step_scale}")
         if not self.threshold > 0.0:
             raise ConfigurationError(
                 f"threshold must be > 0, got {self.threshold}")
-        if not 0.0 < self.step_offset < math.inf:
-            raise ConfigurationError(
-                f"step_offset must be finite and > 0, got {self.step_offset}")
         if self.init not in ("zero", "gaussian"):
             raise ConfigurationError(
                 f"init must be 'zero' or 'gaussian', got {self.init!r}")
@@ -136,13 +133,12 @@ class FitConfig:
 
 @dataclass
 class OptState:
-    """Sliding window of squared gradients for the adaptive stepsize.
-
-    The window sum is recomputed oldest-first on every step (no running-sum
-    drift), so it equals the brute-force sum of the last
-    min(steps, window) squared gradients exactly. No RNG state lives here:
-    streams are pure functions of (seed, stream kind, iteration), so the
-    window is the whole of it.
+    """Sliding window of squared gradients for the adaptive stepsize (fit
+    keeps the last ``FitConfig.window`` steps). The window sum is
+    recomputed oldest-first on every step (no running-sum drift), so it
+    equals the brute-force sum of the last min(steps, window) squared
+    gradients exactly. No RNG state lives here: streams are pure functions
+    of (seed, stream kind, iteration), so the window is the whole of it.
     """
 
     dim: int
@@ -270,24 +266,16 @@ def _gradient_sample(model, data, zeta, batch):
     return (np.zeros(len(zeta)) if grad is None else grad), g.elements()
 
 
-def _counted_gradients(model, data, params, m, rng, batch):
+def _counted_gradients(model, data, params, m, seed, path, batch):
     """Gradient estimate plus the tape elements that produced it and the
-    number of draws redrawn."""
+    number of draws redrawn; draw k uses ``substream(seed, *path, k)``."""
     _check_count("m", m, 1)
-    if not isinstance(rng, np.random.SeedSequence):
-        rng = np.random.SeedSequence(int(rng))
-    # children derived by key, not by SeedSequence.spawn(): spawn mutates
-    # its counter, and this estimator must be a pure function of its inputs
-    children = [np.random.SeedSequence(entropy=rng.entropy,
-                                       spawn_key=tuple(rng.spawn_key) + (i,))
-                for i in range(m)]
     sigma = np.exp(params.omega)
-    g_mu = np.zeros(params.dim)
-    g_omega = np.zeros(params.dim)
+    g_mu = g_omega = 0.0
     elements = 0
     redraws = 0
-    for child in children:
-        gen = np.random.Generator(np.random.PCG64(child))
+    for k in range(m):
+        gen = substream(seed, *path, k)
         for attempt in range(1 + _MAX_REDRAWS):
             eta = gen.standard_normal(params.dim)
             # inverse_standardize, with sigma = exp(omega) computed once and
@@ -302,12 +290,9 @@ def _counted_gradients(model, data, params, m, rng, batch):
                 f"gradient sample stayed non-finite after {_MAX_REDRAWS} "
                 "redraws")
         redraws += attempt
-        g_mu += d_zeta
-        g_omega += d_zeta * eta * sigma
-    g_mu /= m
-    g_omega /= m
-    g_omega += 1.0
-    return g_mu, g_omega, elements, redraws
+        g_mu = g_mu + d_zeta
+        g_omega = g_omega + d_zeta * eta * sigma
+    return g_mu / m, g_omega / m + 1.0, elements, redraws
 
 
 def estimate_gradients(model: ModelDefinition, data: Dataset,
@@ -319,21 +304,25 @@ def estimate_gradients(model: ModelDefinition, data: Dataset,
     w.r.t. zeta comes from one reverse sweep; the mu gradient is its MC
     mean and the omega gradient additionally carries the eta*exp(omega)
     chain factor plus the entropy term's constant 1. ``rng`` is an integer
-    seed or a SeedSequence; each of the ``m`` samples uses its own child
-    substream, so samples could be evaluated in parallel without changing
-    the result. A draw whose evaluation is non-finite is redrawn up to 10
-    times before the whole estimate fails (fit counts the redraws in
-    ``ElboTrace.gradient_redraws``).
+    seed or a SeedSequence; sample k uses the child stream that appends k
+    to its spawn key, so samples could be evaluated in parallel without
+    changing the result. A draw whose evaluation is non-finite is redrawn
+    up to 10 times before the whole estimate fails (fit counts the redraws
+    in ``ElboTrace.gradient_redraws``).
     """
-    g_mu, g_omega, _, _ = _counted_gradients(model, data, params, m, rng,
-                                             batch)
+    if isinstance(rng, np.random.SeedSequence):
+        seed, path = rng.entropy, tuple(rng.spawn_key)
+    else:
+        seed, path = int(rng), ()
+    g_mu, g_omega, _, _ = _counted_gradients(model, data, params, m, seed,
+                                             path, batch)
     return g_mu, g_omega
 
 
 def adagrad_step(state: OptState, grad: np.ndarray,
                  config: FitConfig) -> np.ndarray:
     """Per-coordinate stepsizes step_scale / (step_offset + sqrt(s)), where
-    s sums the squared gradients of the last ``window`` steps."""
+    s sums the squared gradients of the last ``state.window`` steps."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != (state.dim,):
         raise ShapeError(
@@ -384,10 +373,8 @@ def fit(model: ModelDefinition, data: Dataset,
             # warning
             with np.errstate(all="ignore"):
                 g_mu, g_omega, elements, redraws = _counted_gradients(
-                    model, data, params, config.grad_samples,
-                    np.random.SeedSequence(config.seed,
-                                           spawn_key=(STREAM_GRAD, i)),
-                    batch)
+                    model, data, params, config.grad_samples, config.seed,
+                    (STREAM_GRAD, i), batch)
             work_elements += elements
             trace.gradient_redraws += redraws
             rho_mu = adagrad_step(opt_mu, g_mu, config)

@@ -32,7 +32,7 @@ from .engine import PosteriorDraws
 from .errors import ConfigurationError, EvaluationFailure, ShapeError
 from .model import Dataset, ModelDefinition, draw_chunks
 
-__all__ = ["EvalReport", "heldout_log_predictive"]
+__all__ = ["EvalReport", "heldout_log_predictive", "num_points"]
 
 # (draw, point) log likelihoods held at once: 512 KiB of float64
 _SCORES_AT_ONCE = 1 << 16
@@ -48,6 +48,15 @@ class EvalReport:
     failed_index: int | None = None
 
 
+def num_points(model: ModelDefinition, data: Dataset) -> int:
+    """``model.num_observations(data)``, or a ConfigurationError."""
+    try:
+        return model.num_observations(data)
+    except (IndexError, TypeError, KeyError, ValueError) as exc:
+        raise ConfigurationError(f"data is not shape-compatible with model "
+                                 f"{model.name}: {exc}") from exc
+
+
 def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
                            heldout: Dataset) -> EvalReport:
     """Score held-out data under the posterior predictive of ``draws``.
@@ -59,14 +68,14 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
     """
     if draws.size < 1:
         raise ConfigurationError("need at least one posterior draw")
-    num_points = model.num_observations(heldout)
-    if num_points < 1:
+    total = num_points(model, heldout)
+    if total < 1:
         raise ConfigurationError("held-out dataset has no observations")
     step = max(1, _SCORES_AT_ONCE // draws.size)
     point_scores = []
     failed_index = None
-    for start in range(0, num_points, step):
-        idx = np.arange(start, min(start + step, num_points))
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total))
 
         def score(key):
             return model.loglik_term(
@@ -110,6 +119,6 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
     if failed_index is not None:
         mean = -math.inf
     else:
-        mean = math.fsum(point_scores) / num_points
-    return EvalReport(mean_log_predictive=mean, num_points=num_points,
+        mean = math.fsum(point_scores) / total
+    return EvalReport(mean_log_predictive=mean, num_points=total,
                       num_draws=draws.size, failed_index=failed_index)

@@ -44,6 +44,10 @@ def test_happy_path(poisson_files, capsys):
     assert manifest["model"] == "poisson_exponential"
     assert manifest["seed"] == 42
     assert manifest["config"]["max_iterations"] == 300
+    # the nine FitConfig settings, and no constant
+    assert sorted(manifest["config"]) == [
+        "elbo_samples", "eval_interval", "grad_samples", "init",
+        "max_iterations", "minibatch", "seed", "step_scale", "threshold"]
     assert manifest["timings"]["wall_seconds"] > 0
 
 
@@ -191,7 +195,10 @@ def test_heldout_count_outside_support_exits_2(tmp_path, poisson_files,
 @pytest.mark.parametrize("text, words", [
     ('{"x": [4, -1, 2.5]}', "count must be a nonnegative integer, got -1"),
     ('{"y": [4]}', "dataset is missing entry 'x'"),
-], ids=["count_outside_support", "missing_entry"])
+    # len() of a 0-d entry raised a bare TypeError, outside any handler
+    ('{"x": 3}', "h.json: data is not shape-compatible with model "
+                 "poisson_exponential: len() of unsized object"),
+], ids=["count_outside_support", "missing_entry", "zero_dimensional_entry"])
 def test_bad_heldout_exits_2_before_fitting(tmp_path, poisson_files, capsys,
                                             monkeypatch, text, words):
     def no_fit(*args, **kwargs):
@@ -287,7 +294,9 @@ def _hier_age_out_of_range():
     ("linreg_ard", {"x": [[1.0, 2.0], [0.5, 1.0]], "y": [1.0, 2.0]},
      ("--hyper", "D=3")),
     ("hier_logistic", _hier_age_out_of_range(), ()),
-], ids=["linreg_ard_too_few_columns", "hier_logistic_index_out_of_range"])
+    ("linreg_ard", {"x": [[1.0, 2.0]], "y": 3.0}, ()),
+], ids=["linreg_ard_too_few_columns", "hier_logistic_index_out_of_range",
+        "linreg_ard_zero_dimensional_y"])
 def test_training_data_the_model_cannot_take_exits_2_before_fitting(
         tmp_path, capsys, monkeypatch, model, entries, extra):
     monkeypatch.setattr(cli, "fit", _no_fit)
@@ -295,3 +304,4 @@ def test_training_data_the_model_cannot_take_exits_2_before_fitting(
     err = capsys.readouterr().err
     assert f"{tmp_path / 'train.json'}: data is not shape-compatible " \
            f"with model {model}" in err
+

@@ -72,3 +72,11 @@ def test_flag_list_states_the_defaults_fit_config_declares():
         assert stated[flag] == getattr(FitConfig, field), flag
     # the one default the CLI declares itself
     assert stated["--draws"] == defaults["--draws"]
+
+
+def test_step_size_constants_match_fit_config():
+    # README states tau and the window length once each
+    tau, = re.findall(r"τ = (\d+(?:\.\d+)?)", README)
+    window, = re.findall(r"(\d+)-step window", README)
+    assert float(tau) == FitConfig.step_offset
+    assert int(window) == FitConfig.window

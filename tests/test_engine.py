@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -197,6 +198,31 @@ class TestEstimateGradients:
         assert full[0].tolist() == batched[0].tolist()
         assert full[1].tolist() == batched[1].tolist()
 
+    @pytest.mark.parametrize("rng, path", [
+        (np.random.SeedSequence(11, spawn_key=(engine.STREAM_GRAD, 4)),
+         (engine.STREAM_GRAD, 4)),
+        (11, ())], ids=["seed_sequence", "int"])
+    def test_draw_k_comes_from_its_substream(self, rng, path):
+        # the mean of m = 3 draws, built by hand with one tape per draw:
+        # draw k's eta is the first of substream(seed, *path, k)
+        model, data = small_zoo_instance("gmm")
+        gen = np.random.default_rng(3)
+        p = VariationalParams(gen.normal(0.0, 0.3, model.dim),
+                              gen.normal(-1.0, 0.2, model.dim))
+        sigma = np.exp(p.omega)
+        sum_mu = sum_omega = 0.0
+        for k in range(3):
+            eta = substream(11, *path, k).standard_normal(model.dim)
+            g = ad.Graph()
+            z = g.leaf(sigma * eta + p.mu)
+            out = log_joint_unconstrained(model, data, z)
+            d_zeta = g.adjoints(out)[z.i]
+            sum_mu = sum_mu + d_zeta
+            sum_omega = sum_omega + d_zeta * eta * sigma
+        g_mu, g_omega = estimate_gradients(model, data, p, 3, rng)
+        assert g_mu.tolist() == (sum_mu / 3).tolist()
+        assert g_omega.tolist() == (sum_omega / 3 + 1.0).tolist()
+
 
 class TestAdagradStep:
     def test_first_step(self):
@@ -291,23 +317,32 @@ class TestFitConfig:
                                match=f"seed must be an integer, got {value}"):
                 FitConfig(seed=value)
         assert FitConfig(seed=np.int64(3)).seed == 3
-        # counts are integers, not bools or floats that fail later or
-        # round; step_offset is finite and > 0, so a step never divides by 0
+        # counts are integers, not bools or floats that fail later or round
         for name, value in [
                 ("eval_interval", 2.5), ("grad_samples", 1.5),
-                ("window", 2.5), ("max_iterations", 3.0),
-                ("elbo_samples", 10.0), ("minibatch", 2.0),
-                ("grad_samples", True), ("minibatch", True), ("window", 0),
-                ("minibatch", 0)]:
+                ("max_iterations", 3.0), ("elbo_samples", 10.0),
+                ("minibatch", 2.0), ("grad_samples", True),
+                ("minibatch", True), ("minibatch", 0)]:
             with pytest.raises(ConfigurationError,
                                match=f"{name} must be an integer.*{value}"):
                 FitConfig(**{name: value})
-        for value in (math.nan, -1.0, 0.0, math.inf):
-            with pytest.raises(ConfigurationError,
-                               match=f"step_offset.*{value}"):
-                FitConfig(step_offset=value)
-        c = FitConfig(grad_samples=np.int64(2), minibatch=5, step_offset=0.5)
-        assert (c.grad_samples, c.minibatch, c.step_offset) == (2, 5, 0.5)
+        # an infinite step_scale constructed, and fit failed at iteration 0
+        with pytest.raises(ConfigurationError,
+                           match="step_scale must be finite and > 0, got inf"):
+            FitConfig(step_scale=math.inf)
+        c = FitConfig(grad_samples=np.int64(2), minibatch=5)
+        assert (c.grad_samples, c.minibatch) == (2, 5)
+
+    def test_settable_surface(self):
+        assert [f.name for f in fields(FitConfig)] == [
+            "grad_samples", "elbo_samples", "step_scale", "threshold",
+            "eval_interval", "max_iterations", "seed", "minibatch", "init"]
+        # the step offset tau and the window length are constants
+        for name, value in (("window", 5), ("step_offset", 0.5)):
+            with pytest.raises(TypeError, match=name):
+                FitConfig(**{name: value})
+        assert FitConfig.window == 10
+        assert FitConfig().step_offset == 1.0
 
 
 class TestFit:
