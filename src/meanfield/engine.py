@@ -3,21 +3,26 @@
 The approximation lives in the unconstrained space: q(zeta) = N(mu,
 diag(exp(2*omega))). Each iteration draws standard-Gaussian samples,
 inverts the standardization zeta = exp(omega)*eta + mu, differentiates the
-transformed log joint on a fresh tape, and takes an adaptive-stepsize
+transformed log joint of the draws on a fresh tape (one tape per chunk of
+draws, with the draws on a leading axis), and takes an adaptive-stepsize
 ascent step; the stepsize uses the summed squared gradients of a sliding
 window (finite-memory variant of the accumulate-everything schedule). Its
 offset (1) and window (10 steps) are fixed, as in ADVI.
 
 Every generator comes from :func:`substream`, at a named position
-`(seed, kind, iteration[, sample])`, so gradient samples could be evaluated
-in parallel without changing results, and reruns are bit-identical.
+`(seed, kind, iteration[, sample])`, so a draw does not depend on the
+other draws or on how they are chunked, and reruns are bit-identical.
 
 The trace's elapsed_ms column is a deterministic work clock: cumulative
 array elements produced by the gradient tapes (the sizes of every tape
 node's value), at a nominal 1000 elements per millisecond. A tape node is
 one array operation, so a node count would not measure compute; the
 elements do, and they depend only on the model, the data sizes and the
-draws. Real wall-clock duration is reported separately (and recorded in run
+draws. Every tape built counts, a failed chunk's too; a chunk's tape also
+holds the nodes a model adds to give per-draw values an axis of length 1
+(``zoo._each_point``), so with two or more gradient draws the clock can
+read a little above one tape per draw, for the same estimate. Real
+wall-clock duration is reported separately (and recorded in run
 manifests) so output files stay byte-reproducible.
 """
 
@@ -35,7 +40,8 @@ from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .model import Dataset, ModelDefinition, constrain_blocks, \
-    log_joint_draws, log_joint_unconstrained, minibatch_log_joint
+    draw_chunks, log_joint_draws, log_joint_unconstrained, \
+    minibatch_log_joint
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -248,51 +254,108 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     return _elbo_and_drops(model, data, params, n_samples, rng)[0]
 
 
+def _taped_joint(model, data, z, batch):
+    """The joint at tape value ``z``: of the full data, or N/B-scaled of
+    the batch."""
+    if batch is None:
+        return log_joint_unconstrained(model, data, z)
+    return minibatch_log_joint(model, data, batch, z)
+
+
 def _gradient_sample(model, data, zeta, batch):
     """One tape evaluation: (gradient w.r.t. zeta, or None when the joint
-    is non-finite or out of domain; array elements the tape produced)."""
+    or the gradient is non-finite or out of domain; array elements the
+    tape produced)."""
     g = ad.Graph()
     z = g.leaf(zeta)
     try:
-        if batch is None:
-            out = log_joint_unconstrained(model, data, z)
-        else:
-            out = minibatch_log_joint(model, data, batch, z)
+        out = _taped_joint(model, data, z, batch)
     except DomainError:
         return None, g.elements()
     if not math.isfinite(out.val):
         return None, g.elements()
     grad = g.adjoints(out)[z.i]
-    return (np.zeros(len(zeta)) if grad is None else grad), g.elements()
+    if np.count_nonzero(np.isfinite(grad)) != grad.size:
+        return None, g.elements()
+    return grad, g.elements()
+
+
+def _gradient_rows(model, data, zetas, batch):
+    """:func:`_gradient_sample` of each row of ``zetas``, one call per
+    chunk of draws (:func:`model.draw_chunks`): (gradient or None per
+    draw; array elements of every tape built). A chunk of two or more
+    draws is one tape over a ``(rows, dim)`` leaf, whose joint has one
+    value per row; as no operation mixes rows, the sweep seeded with ones
+    gives each row its own draw's gradient."""
+    elements = 0
+
+    def score(key):
+        nonlocal elements
+        if type(key) is int:
+            grad, n = _gradient_sample(model, data, zetas[key], batch)
+            elements += n
+            return grad
+        g = ad.Graph()
+        z = g.leaf(zetas[key])
+        try:
+            out = _taped_joint(model, data, z, batch)
+        finally:  # a chunk that raises is charged too
+            elements += g.elements()
+        rows = g.adjoints(out)[z.i]
+        ok = np.isfinite(out.val) & np.isfinite(rows).all(axis=-1)
+        return [row if good else None for row, good in zip(rows, ok)]
+
+    grads = [None] * len(zetas)
+    points = len(batch) if batch is not None else \
+        model.num_observations(data)
+    for key, result in draw_chunks(score, len(zetas), points):
+        grads[key] = result
+    return grads, elements
 
 
 def _counted_gradients(model, data, params, m, seed, path, batch):
     """Gradient estimate plus the tape elements that produced it and the
-    number of draws redrawn; draw k uses ``substream(seed, *path, k)``."""
+    number of draws redrawn; draw k uses ``substream(seed, *path, k)``.
+
+    The first attempts of two or more draws are evaluated together by
+    :func:`_gradient_rows`; a single draw goes to :func:`_gradient_sample`
+    directly. A draw that failed is redrawn from its own stream, one tape
+    per attempt."""
     _check_count("m", m, 1)
+    mu = params.mu
+    # inverse_standardize, with sigma = exp(omega) computed once and
+    # reused by the chain factor below
     sigma = np.exp(params.omega)
+    if m == 1:
+        gens = (substream(seed, *path, 0),)
+        etas = (gens[0].standard_normal(params.dim),)
+        grad, elements = _gradient_sample(model, data, sigma * etas[0] + mu,
+                                          batch)
+        grads = (grad,)
+    else:
+        gens = [substream(seed, *path, k) for k in range(m)]
+        etas = np.array([gen.standard_normal(params.dim) for gen in gens])
+        grads, elements = _gradient_rows(model, data, sigma * etas + mu,
+                                         batch)
     g_mu = g_omega = 0.0
-    elements = 0
     redraws = 0
-    for k in range(m):
-        gen = substream(seed, *path, k)
-        for attempt in range(1 + _MAX_REDRAWS):
+    for gen, eta, d_zeta in zip(gens, etas, grads):
+        attempt = 0
+        while d_zeta is None:
+            if attempt == _MAX_REDRAWS:
+                raise EvaluationFailure(
+                    f"gradient sample stayed non-finite after {_MAX_REDRAWS} "
+                    "redraws")
+            attempt += 1
             eta = gen.standard_normal(params.dim)
-            # inverse_standardize, with sigma = exp(omega) computed once and
-            # reused by the chain factor below
-            zeta = sigma * eta + params.mu
-            d_zeta, n = _gradient_sample(model, data, zeta, batch)
+            d_zeta, n = _gradient_sample(model, data, sigma * eta + mu, batch)
             elements += n
-            if d_zeta is not None:
-                break
-        else:
-            raise EvaluationFailure(
-                f"gradient sample stayed non-finite after {_MAX_REDRAWS} "
-                "redraws")
         redraws += attempt
         g_mu = g_mu + d_zeta
         g_omega = g_omega + d_zeta * eta * sigma
-    return g_mu / m, g_omega / m + 1.0, elements, redraws
+    if m > 1:  # dividing by 1 would copy the same bits
+        g_mu, g_omega = g_mu / m, g_omega / m
+    return g_mu, g_omega + 1.0, elements, redraws
 
 
 def estimate_gradients(model: ModelDefinition, data: Dataset,
@@ -301,14 +364,18 @@ def estimate_gradients(model: ModelDefinition, data: Dataset,
     """Monte Carlo gradients of the objective w.r.t. (mu, omega).
 
     Per standardized draw eta, the gradient of the transformed log joint
-    w.r.t. zeta comes from one reverse sweep; the mu gradient is its MC
+    w.r.t. zeta comes from a reverse sweep; the mu gradient is its MC
     mean and the omega gradient additionally carries the eta*exp(omega)
     chain factor plus the entropy term's constant 1. ``rng`` is an integer
     seed or a SeedSequence; sample k uses the child stream that appends k
-    to its spawn key, so samples could be evaluated in parallel without
-    changing the result. A draw whose evaluation is non-finite is redrawn
-    up to 10 times before the whole estimate fails (fit counts the redraws
-    in ``ElboTrace.gradient_redraws``).
+    to its spawn key. The m draws are evaluated in chunks
+    (:func:`model.draw_chunks`), a chunk of two or more on one tape whose
+    joint has one value per draw, so the sweep gives every draw its own
+    gradient, bit for bit as one tape per draw would; the means sum the
+    draws in order. A draw whose joint or gradient is non-finite, or that
+    is out of domain alone, is redrawn from its own stream, one tape per
+    attempt, up to 10 times before the whole estimate fails (fit counts
+    the redraws in ``ElboTrace.gradient_redraws``).
     """
     if isinstance(rng, np.random.SeedSequence):
         seed, path = rng.entropy, tuple(rng.spawn_key)

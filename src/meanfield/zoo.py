@@ -3,8 +3,8 @@
 Six ready-made models under seven names, each returning a
 :class:`ModelDefinition` whose log joint is an array expression,
 differentiable through the tape; a batch of observations is one
-likelihood call, and on the float path so is a chunk of posterior draws
-on a leading axis:
+likelihood call, and so is a chunk of draws on a leading axis, on the
+float path and on the tape:
 
 * ``poisson_exponential`` - Poisson counts with an Exponential(rate) prior
   on the rate; the smallest nonconjugate example.

@@ -1,11 +1,13 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from meanfield import autodiff as ad
+from meanfield import densities as dens
 from meanfield import engine
+from meanfield import model as model_module
 from meanfield import zoo
 from meanfield.engine import FitConfig, OptState, VariationalParams, \
     adagrad_step, draw_posterior, estimate_elbo, estimate_gradients, fit, \
@@ -14,7 +16,7 @@ from meanfield.errors import ConfigurationError, DomainError, \
     EvaluationFailure, ShapeError
 from meanfield.io import write_samples_csv
 from meanfield.model import Dataset, ModelDefinition, \
-    log_joint_unconstrained
+    log_joint_unconstrained, minibatch_log_joint
 from meanfield.transforms import BlockSpec, Identity
 from util import EMPTY_DATA, gaussian_toy, small_zoo_instance, toy_elbo
 
@@ -46,6 +48,59 @@ def _half_failing_model():
         loglik_term=lambda v, data, n: 0.0,
         num_observations=lambda data: 0,
     )
+
+
+def _region_failing_model():
+    """Standard-normal prior on one coordinate that fails for draws in
+    three known regions, each in its own way: z > 2 is out of domain (and
+    takes its chunk of draws with it), z < -1.5 has a joint of -inf, and
+    0.5 < z < 0.7 has a finite joint but an infinite gradient."""
+    def log_prior(v, data):
+        z = v["z"]
+        zv = ad.value(z)
+        if np.any(zv > 2.0):
+            raise DomainError("z > 2")
+        kink = np.where((0.5 < zv) & (zv < 0.7), np.inf, 1.0)
+        same = ad.node((z,), zv, (lambda g: g * kink,))  # z, kinked
+        floor = np.where(zv < -1.5, -np.inf, 0.0)
+        return dens.normal(same, 0.0, 1.0) + floor
+
+    return ModelDefinition(
+        name="region_failing",
+        blocks=(BlockSpec("z", Identity(1), scalar=True),),
+        log_prior=log_prior,
+        loglik_term=lambda v, data, n: 0.0,
+        num_observations=lambda data: 0,
+    )
+
+
+def _one_tape_per_draw(model, data, params, m, seed, path, batch=None):
+    """The gradient estimate built by hand, one tape per draw: draw k
+    takes its etas from substream(seed, *path, k) until its joint and its
+    gradient are finite. Returns (g_mu, g_omega, redraws)."""
+    sigma = np.exp(params.omega)
+    sum_mu = sum_omega = 0.0
+    redraws = 0
+    for k in range(m):
+        gen = substream(seed, *path, k)
+        while True:
+            eta = gen.standard_normal(params.dim)
+            g = ad.Graph()
+            z = g.leaf(sigma * eta + params.mu)
+            try:
+                out = (log_joint_unconstrained(model, data, z)
+                       if batch is None
+                       else minibatch_log_joint(model, data, batch, z))
+            except DomainError:
+                out = None
+            if out is not None and math.isfinite(out.val):
+                d_zeta = g.adjoints(out)[z.i]
+                if np.isfinite(d_zeta).all():
+                    break
+            redraws += 1
+        sum_mu = sum_mu + d_zeta
+        sum_omega = sum_omega + d_zeta * eta * sigma
+    return sum_mu / m, sum_omega / m + 1.0, redraws
 
 
 class TestInverseStandardize:
@@ -198,30 +253,112 @@ class TestEstimateGradients:
         assert full[0].tolist() == batched[0].tolist()
         assert full[1].tolist() == batched[1].tolist()
 
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["full", "minibatch"])
+    @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
     @pytest.mark.parametrize("rng, path", [
         (np.random.SeedSequence(11, spawn_key=(engine.STREAM_GRAD, 4)),
          (engine.STREAM_GRAD, 4)),
         (11, ())], ids=["seed_sequence", "int"])
-    def test_draw_k_comes_from_its_substream(self, rng, path):
+    def test_draw_k_comes_from_its_substream(self, rng, path, name,
+                                             batched):
         # the mean of m = 3 draws, built by hand with one tape per draw:
-        # draw k's eta is the first of substream(seed, *path, k)
-        model, data = small_zoo_instance("gmm")
+        # draw k's eta is the first of substream(seed, *path, k). The
+        # estimate puts the three draws on one tape, and each row's
+        # gradient must be its draw's, bit for bit
+        model, data = small_zoo_instance(name)
+        n = model.num_observations(data)
+        batch = [0, n // 2, n - 1] if batched else None
         gen = np.random.default_rng(3)
         p = VariationalParams(gen.normal(0.0, 0.3, model.dim),
                               gen.normal(-1.0, 0.2, model.dim))
-        sigma = np.exp(p.omega)
-        sum_mu = sum_omega = 0.0
-        for k in range(3):
-            eta = substream(11, *path, k).standard_normal(model.dim)
-            g = ad.Graph()
-            z = g.leaf(sigma * eta + p.mu)
-            out = log_joint_unconstrained(model, data, z)
-            d_zeta = g.adjoints(out)[z.i]
-            sum_mu = sum_mu + d_zeta
-            sum_omega = sum_omega + d_zeta * eta * sigma
-        g_mu, g_omega = estimate_gradients(model, data, p, 3, rng)
-        assert g_mu.tolist() == (sum_mu / 3).tolist()
-        assert g_omega.tolist() == (sum_omega / 3 + 1.0).tolist()
+        mean_mu, mean_omega, redraws = _one_tape_per_draw(
+            model, data, p, 3, 11, path, batch)
+        assert redraws == 0
+        g_mu, g_omega = estimate_gradients(model, data, p, 3, rng, batch)
+        assert g_mu.tolist() == mean_mu.tolist()
+        assert g_omega.tolist() == mean_omega.tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 40])
+    def test_failed_draws_are_redrawn_as_one_tape_per_draw(self, m):
+        # out of domain, a non-finite joint and a finite joint with a
+        # non-finite gradient all fail a draw, which is redrawn from its
+        # own stream, whether it was tried alone or in a chunk of draws
+        model = _region_failing_model()
+        p = VariationalParams([0.0], [0.0])
+        for seed in range(5):
+            path = (engine.STREAM_GRAD, seed)
+            with np.errstate(all="ignore"):  # as fit evaluates draws
+                expected = _one_tape_per_draw(model, EMPTY_DATA, p, m, seed,
+                                              path)
+                g_mu, g_omega, _, redraws = engine._counted_gradients(
+                    model, EMPTY_DATA, p, m, seed, path, None)
+            assert (g_mu.tolist(), g_omega.tolist(), redraws) == \
+                (expected[0].tolist(), expected[1].tolist(), expected[2])
+        if m == 40:  # each region holds 2-7% of the first draws
+            first = np.array([substream(seed, engine.STREAM_GRAD, seed, k)
+                              .standard_normal() for seed in range(5)
+                              for k in range(m)])
+            assert (first > 2.0).any() and (first < -1.5).any()
+            assert ((0.5 < first) & (first < 0.7)).any()
+
+    def test_a_failed_chunk_counts_on_the_work_clock(self):
+        # the toy, out of domain whenever its value has a draw axis: the
+        # chunk of 4 draws raises and is rerun one draw at a time
+        def log_prior(v, data):
+            if np.ndim(ad.value(v["z"])):
+                raise DomainError("a draw axis")
+            return dens.normal(v["z"], 0.0, 1.0)
+
+        toy = gaussian_toy()
+        p = VariationalParams([0.3], [-0.5])
+        g_mu, g_omega, elements, redraws = engine._counted_gradients(
+            replace(toy, log_prior=log_prior), EMPTY_DATA, p, 4, 9, (), None)
+        ref = engine._counted_gradients(toy, EMPTY_DATA, p, 4, 9, (), None)
+        assert (g_mu.tolist(), g_omega.tolist(), redraws) == \
+            (ref[0].tolist(), ref[1].tolist(), 0)
+        # a tape holds the leaf, the block's value and the density, one
+        # element each per draw. The failed chunk's tape got as far as the
+        # block's value; then come four one-draw tapes
+        assert ref[2] == 4 * 3
+        assert elements == 4 * 2 + 4 * 3
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_finite_joint_with_non_finite_gradient_is_redrawn(self, m):
+        # near zeta = -709.59 the rate exp(zeta) is subnormal: the joint is
+        # finite but d/d rate of log(rate) overflows. Every draw lands
+        # there, so every draw fails and the estimate does too
+        model, data = small_zoo_instance("poisson_exponential")
+        p = VariationalParams([-709.59], [-20.0])
+        with np.errstate(all="ignore"):
+            assert math.isfinite(log_joint_unconstrained(model, data,
+                                                         p.mu))
+            with pytest.raises(EvaluationFailure, match="10 redraws"):
+                estimate_gradients(model, data, p, m, 0)
+
+    def test_draws_beyond_one_call_run_in_chunks(self):
+        # 5 points: a chunk holds _PAIRS_PER_CALL // 5 draws, so one more
+        # draw runs a second chunk, of one draw, on the one-draw path
+        model, data = small_zoo_instance("poisson_exponential")
+        n = model.num_observations(data)
+        size = model_module._PAIRS_PER_CALL // n
+        m = size + 1
+        assert m * n > model_module._PAIRS_PER_CALL
+        shapes = []
+
+        def log_prior(v, d):
+            shapes.append(np.shape(ad.value(v["lam"])))
+            return model.log_prior(v, d)
+
+        counted = replace(model, log_prior=log_prior)
+        p = VariationalParams([1.0], [-1.0])
+        g_mu, g_omega = estimate_gradients(counted, data, p, m, 8)
+        assert shapes == [(size,), ()]
+        mean_mu, mean_omega, redraws = _one_tape_per_draw(model, data, p, m,
+                                                         8, ())
+        assert redraws == 0
+        assert g_mu.tolist() == mean_mu.tolist()
+        assert g_omega.tolist() == mean_omega.tolist()
 
 
 class TestAdagradStep:
