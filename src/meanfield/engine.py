@@ -12,6 +12,8 @@ offset (1) and window (10 steps) are fixed, as in ADVI.
 Every generator comes from :func:`substream`, at a named position
 `(seed, kind, iteration[, sample])`, so a draw does not depend on the
 other draws or on how they are chunked, and reruns are bit-identical.
+``fit`` picks the observations once, ``arange(N)`` per fit or a batch per
+iteration, and silences floating-point warnings for its whole loop.
 
 The trace's elapsed_ms column is a deterministic work clock: cumulative
 array elements produced by the gradient tapes (the sizes of every tape
@@ -39,9 +41,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
-from .model import Dataset, ModelDefinition, constrain_blocks, \
-    draw_chunks, log_joint_draws, log_joint_unconstrained, \
-    minibatch_log_joint
+from .model import Dataset, ModelDefinition, _batch_index, _joint, \
+    constrain_blocks, draw_chunks
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -100,6 +101,21 @@ def _check_count(name: str, value, least: int) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_seed(name: str, value) -> int:
+    if not _is_integer(value):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:  # SeedSequence takes no negative entropy
+        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
+def _generator(rng) -> np.random.Generator:
+    """``np.random.default_rng(rng)``, a number checked as a seed."""
+    if isinstance(rng, (int, float, np.number)):  # a bool is an int
+        _check_seed("rng", rng)
+    return np.random.default_rng(rng)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     grad_samples: int = 1
@@ -121,11 +137,7 @@ class FitConfig:
             counts.append(("minibatch", 1))
         for name, least in counts:
             _check_count(name, getattr(self, name), least)
-        if not _is_integer(self.seed):
-            raise ConfigurationError(
-                f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:  # SeedSequence takes no negative entropy
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        _check_seed("seed", self.seed)
         if not 0.0 < self.step_scale < math.inf:  # written so NaN fails
             raise ConfigurationError(
                 f"step_scale must be finite and > 0, got {self.step_scale}")
@@ -216,10 +228,10 @@ def _entropy(params: VariationalParams) -> float:
         float(np.sum(params.omega))
 
 
-def _elbo_and_drops(model, data, params, n_samples, rng):
-    """:func:`estimate_elbo` and the number of draws it dropped."""
+def _elbo_and_drops(model, data, params, n_samples, rng, idx):
+    """:func:`estimate_elbo` over the observations ``idx``, and its drops."""
     _check_count("n_samples", n_samples, 1)
-    gen = np.random.default_rng(rng)
+    gen = _generator(rng)
     # one value per draw; NaN marks a draw out of the domain
     joints = np.full(n_samples, math.nan)
     # a wild draw may overflow: it is dropped, not reported as a warning
@@ -227,7 +239,9 @@ def _elbo_and_drops(model, data, params, n_samples, rng):
         # one (S, dim) draw holds the same numbers as S draws of dim
         zetas = inverse_standardize(
             params, gen.standard_normal((n_samples, params.dim)))
-        for key, v in log_joint_draws(model, data, zetas):
+        for key, v in draw_chunks(
+                lambda key: _joint(model, data, zetas[key], idx, None),
+                n_samples, len(idx)):
             if v is not None:
                 joints[key] = v
     values = joints[np.isfinite(joints)].tolist()
@@ -245,98 +259,68 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     Averages the transformed log joint over draws from the current
     approximation and adds the Gaussian entropy in closed form. The draws
     are taken and standardized as one ``(n_samples, dim)`` array, then
-    evaluated in chunks of draws (:func:`model.log_joint_draws`), each
-    chunk as one array expression over the draws and the data. Draws whose
+    evaluated in chunks of draws (:func:`model.draw_chunks`), each chunk
+    as one array expression over the draws and the data. Draws whose
     evaluation is non-finite or out of domain are dropped (fit counts them
     in ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
     :class:`EvaluationFailure`.
     """
-    return _elbo_and_drops(model, data, params, n_samples, rng)[0]
+    idx = np.arange(model.num_observations(data))
+    return _elbo_and_drops(model, data, params, n_samples, rng, idx)[0]
 
 
-def _taped_joint(model, data, z, batch):
-    """The joint at tape value ``z``: of the full data, or N/B-scaled of
-    the batch."""
-    if batch is None:
-        return log_joint_unconstrained(model, data, z)
-    return minibatch_log_joint(model, data, batch, z)
-
-
-def _gradient_sample(model, data, zeta, batch):
-    """One tape evaluation: (gradient w.r.t. zeta, or None when the joint
-    or the gradient is non-finite or out of domain; array elements the
-    tape produced)."""
+def _gradient_sample(model, data, zeta, idx, scale, clock):
+    """The gradient of the joint over ``idx`` on one tape, at one draw
+    ``zeta`` ``(dim,)`` or one per row of a chunk ``(rows, dim)`` (no
+    operation mixes rows, so the sweep seeded with ones gives each row its
+    own); None where the joint or the gradient is not finite, or for one
+    draw out of the domain (a chunk's DomainError reaches ``draw_chunks``).
+    Adds the tape's array elements, a failed tape's too, to ``clock[0]``."""
     g = ad.Graph()
     z = g.leaf(zeta)
     try:
-        out = _taped_joint(model, data, z, batch)
+        out = _joint(model, data, z, idx, scale)
     except DomainError:
-        return None, g.elements()
-    if not math.isfinite(out.val):
-        return None, g.elements()
-    grad = g.adjoints(out)[z.i]
-    if np.count_nonzero(np.isfinite(grad)) != grad.size:
-        return None, g.elements()
-    return grad, g.elements()
-
-
-def _gradient_rows(model, data, zetas, batch):
-    """:func:`_gradient_sample` of each row of ``zetas``, one call per
-    chunk of draws (:func:`model.draw_chunks`): (gradient or None per
-    draw; array elements of every tape built). A chunk of two or more
-    draws is one tape over a ``(rows, dim)`` leaf, whose joint has one
-    value per row; as no operation mixes rows, the sweep seeded with ones
-    gives each row its own draw's gradient."""
-    elements = 0
-
-    def score(key):
-        nonlocal elements
-        if type(key) is int:
-            grad, n = _gradient_sample(model, data, zetas[key], batch)
-            elements += n
-            return grad
-        g = ad.Graph()
-        z = g.leaf(zetas[key])
-        try:
-            out = _taped_joint(model, data, z, batch)
-        finally:  # a chunk that raises is charged too
-            elements += g.elements()
+        if zeta.ndim > 1:
+            raise
+        return None
+    finally:
+        clock[0] += g.elements()
+    if zeta.ndim > 1:
         rows = g.adjoints(out)[z.i]
         ok = np.isfinite(out.val) & np.isfinite(rows).all(axis=-1)
         return [row if good else None for row, good in zip(rows, ok)]
-
-    grads = [None] * len(zetas)
-    points = len(batch) if batch is not None else \
-        model.num_observations(data)
-    for key, result in draw_chunks(score, len(zetas), points):
-        grads[key] = result
-    return grads, elements
+    if not math.isfinite(out.val):
+        return None
+    grad = g.adjoints(out)[z.i]
+    return grad if np.count_nonzero(np.isfinite(grad)) == grad.size else None
 
 
-def _counted_gradients(model, data, params, m, seed, path, batch):
-    """Gradient estimate plus the tape elements that produced it and the
-    number of draws redrawn; draw k uses ``substream(seed, *path, k)``.
-
-    The first attempts of two or more draws are evaluated together by
-    :func:`_gradient_rows`; a single draw goes to :func:`_gradient_sample`
-    directly. A draw that failed is redrawn from its own stream, one tape
-    per attempt."""
+def _counted_gradients(model, data, params, m, seed, path, idx, scale):
+    """Gradient estimate of the joint ``_joint(..., idx, scale)``, plus the
+    tape elements that produced it and the number of draws redrawn; draw k
+    uses ``substream(seed, *path, k)``. The first attempts of two or more
+    draws take a tape per chunk (:func:`model.draw_chunks`); a single draw
+    skips the chunker. A draw that failed is redrawn from its own stream,
+    one tape per attempt."""
     _check_count("m", m, 1)
     mu = params.mu
     # inverse_standardize, with sigma = exp(omega) computed once and
     # reused by the chain factor below
     sigma = np.exp(params.omega)
+    clock = [0]
     if m == 1:
         gens = (substream(seed, *path, 0),)
         etas = (gens[0].standard_normal(params.dim),)
-        grad, elements = _gradient_sample(model, data, sigma * etas[0] + mu,
-                                          batch)
-        grads = (grad,)
+        grads = (_gradient_sample(model, data, sigma * etas[0] + mu, idx,
+                                  scale, clock),)
     else:
         gens = [substream(seed, *path, k) for k in range(m)]
         etas = np.array([gen.standard_normal(params.dim) for gen in gens])
-        grads, elements = _gradient_rows(model, data, sigma * etas + mu,
-                                         batch)
+        zetas, grads = sigma * etas + mu, [None] * m
+        for key, result in draw_chunks(lambda key: _gradient_sample(
+                model, data, zetas[key], idx, scale, clock), m, len(idx)):
+            grads[key] = result
     g_mu = g_omega = 0.0
     redraws = 0
     for gen, eta, d_zeta in zip(gens, etas, grads):
@@ -348,14 +332,14 @@ def _counted_gradients(model, data, params, m, seed, path, batch):
                     "redraws")
             attempt += 1
             eta = gen.standard_normal(params.dim)
-            d_zeta, n = _gradient_sample(model, data, sigma * eta + mu, batch)
-            elements += n
+            d_zeta = _gradient_sample(model, data, sigma * eta + mu, idx,
+                                      scale, clock)
         redraws += attempt
         g_mu = g_mu + d_zeta
         g_omega = g_omega + d_zeta * eta * sigma
     if m > 1:  # dividing by 1 would copy the same bits
         g_mu, g_omega = g_mu / m, g_omega / m
-    return g_mu, g_omega + 1.0, elements, redraws
+    return g_mu, g_omega + 1.0, clock[0], redraws
 
 
 def estimate_gradients(model: ModelDefinition, data: Dataset,
@@ -367,22 +351,27 @@ def estimate_gradients(model: ModelDefinition, data: Dataset,
     w.r.t. zeta comes from a reverse sweep; the mu gradient is its MC
     mean and the omega gradient additionally carries the eta*exp(omega)
     chain factor plus the entropy term's constant 1. ``rng`` is an integer
-    seed or a SeedSequence; sample k uses the child stream that appends k
-    to its spawn key. The m draws are evaluated in chunks
+    seed >= 0 or a SeedSequence; sample k uses the child stream that
+    appends k to its spawn key. The m draws are evaluated in chunks
     (:func:`model.draw_chunks`), a chunk of two or more on one tape whose
     joint has one value per draw, so the sweep gives every draw its own
     gradient, bit for bit as one tape per draw would; the means sum the
     draws in order. A draw whose joint or gradient is non-finite, or that
     is out of domain alone, is redrawn from its own stream, one tape per
     attempt, up to 10 times before the whole estimate fails (fit counts
-    the redraws in ``ElboTrace.gradient_redraws``).
+    the redraws in ``ElboTrace.gradient_redraws``). Unlike ``fit``, it
+    leaves floating-point warnings on.
     """
     if isinstance(rng, np.random.SeedSequence):
         seed, path = rng.entropy, tuple(rng.spawn_key)
     else:
-        seed, path = int(rng), ()
+        seed, path = _check_seed("rng", rng), ()
+    if batch is None:
+        idx, scale = np.arange(model.num_observations(data)), None
+    else:
+        idx, scale = _batch_index(model, data, batch)
     g_mu, g_omega, _, _ = _counted_gradients(model, data, params, m, seed,
-                                             path, batch)
+                                             path, idx, scale)
     return g_mu, g_omega
 
 
@@ -407,6 +396,26 @@ def _initial_params(dim: int, config: FitConfig) -> VariationalParams:
     return VariationalParams(mu, np.zeros(dim))
 
 
+def _step(params, g_mu, g_omega, opt_mu, opt_omega, config):
+    """One adaptive ascent step: the new params and the number of omega
+    coordinates clamped to [-_OMEGA_BOUND, _OMEGA_BOUND]."""
+    rho_mu = adagrad_step(opt_mu, g_mu, config)
+    rho_omega = adagrad_step(opt_omega, g_omega, config)
+    omega = params.omega + rho_omega * g_omega
+    clipped = np.clip(omega, -_OMEGA_BOUND, _OMEGA_BOUND)
+    return (VariationalParams(params.mu + rho_mu * g_mu, clipped),
+            int(np.sum(clipped != omega)))
+
+
+def _converged(rows, threshold) -> bool:
+    """Whether the last two trace rows' objectives differ by less than
+    ``threshold``, relative to the earlier one."""
+    if len(rows) < 2:
+        return False
+    last, elbo = rows[-2][2], rows[-1][2]
+    return abs(elbo - last) / max(abs(last), 1e-12) < threshold
+
+
 def fit(model: ModelDefinition, data: Dataset,
         config: FitConfig) -> tuple[VariationalParams, ElboTrace]:
     """Run the stochastic ascent loop until the objective stabilizes.
@@ -416,56 +425,49 @@ def fit(model: ModelDefinition, data: Dataset,
     when the relative change between consecutive estimates drops below
     ``threshold``, or at ``max_iterations``. With ``minibatch`` set, each
     iteration scores a uniformly drawn (without replacement, sorted) batch
-    through the N/B-scaled joint.
+    through the N/B-scaled joint. Floating-point warnings are silenced for
+    the whole loop: an overflowing draw is redrawn or dropped, not reported.
     """
     n_obs = model.num_observations(data)
     if config.minibatch is not None and config.minibatch > n_obs:
         raise ConfigurationError(
             f"minibatch {config.minibatch} exceeds {n_obs} observations")
+    full = idx = np.arange(n_obs)
+    scale = None if config.minibatch is None else n_obs / config.minibatch
     params = _initial_params(model.dim, config)
     trace = ElboTrace()
     opt_mu = OptState(model.dim, config.window)
     opt_omega = OptState(model.dim, config.window)
     work_elements = 0
-    last_elbo = None
     wall_start = time.perf_counter()
-    for i in range(config.max_iterations):
-        batch = None
-        if config.minibatch is not None:
-            gen = substream(config.seed, STREAM_BATCH, i)
-            chosen = gen.choice(n_obs, size=config.minibatch, replace=False)
-            batch = np.sort(chosen)
-        try:
-            # a wild draw may overflow: it is redrawn, not reported as a
-            # warning
-            with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for i in range(config.max_iterations):
+            if config.minibatch is not None:
+                gen = substream(config.seed, STREAM_BATCH, i)
+                idx = np.sort(gen.choice(n_obs, size=config.minibatch,
+                                         replace=False))
+            try:
                 g_mu, g_omega, elements, redraws = _counted_gradients(
                     model, data, params, config.grad_samples, config.seed,
-                    (STREAM_GRAD, i), batch)
-            work_elements += elements
-            trace.gradient_redraws += redraws
-            rho_mu = adagrad_step(opt_mu, g_mu, config)
-            rho_omega = adagrad_step(opt_omega, g_omega, config)
-            mu = params.mu + rho_mu * g_mu
-            omega = params.omega + rho_omega * g_omega
-            clipped = np.clip(omega, -_OMEGA_BOUND, _OMEGA_BOUND)
-            trace.clamp_events += int(np.sum(clipped != omega))
-            params = VariationalParams(mu, clipped)
-            if (i + 1) % config.eval_interval == 0:
-                elbo, dropped = _elbo_and_drops(
-                    model, data, params, config.elbo_samples,
-                    substream(config.seed, STREAM_ELBO, i))
-                trace.elbo_draws_dropped += dropped
-                trace.append(i + 1, work_elements / _ELEMENTS_PER_MS, elbo)
-                if last_elbo is not None:
-                    rel = abs(elbo - last_elbo) / max(abs(last_elbo), 1e-12)
-                    if rel < config.threshold:
+                    (STREAM_GRAD, i), idx, scale)
+                work_elements += elements
+                trace.gradient_redraws += redraws
+                params, clamped = _step(params, g_mu, g_omega, opt_mu,
+                                        opt_omega, config)
+                trace.clamp_events += clamped
+                if (i + 1) % config.eval_interval == 0:
+                    elbo, dropped = _elbo_and_drops(
+                        model, data, params, config.elbo_samples,
+                        substream(config.seed, STREAM_ELBO, i), full)
+                    trace.elbo_draws_dropped += dropped
+                    trace.append(i + 1, work_elements / _ELEMENTS_PER_MS,
+                                 elbo)
+                    if _converged(trace.rows, config.threshold):
                         break
-                last_elbo = elbo
-        except EvaluationFailure as exc:
-            raise EvaluationFailure(
-                f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
-                f"omega={params.omega.tolist()}") from exc
+            except EvaluationFailure as exc:
+                raise EvaluationFailure(
+                    f"iteration {i}: {exc}; mu={params.mu.tolist()}, "
+                    f"omega={params.omega.tolist()}") from exc
     trace.wall_time_s = time.perf_counter() - wall_start
     return params, trace
 
@@ -477,7 +479,7 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
     if params.dim != model.dim:
         raise ShapeError(
             f"params have dim {params.dim}, model needs {model.dim}")
-    gen = np.random.default_rng(rng)
+    gen = _generator(rng)
     zeta = inverse_standardize(params, gen.standard_normal((size, params.dim)))
     # one array expression over all draws: a row of zeta per draw
     with np.errstate(all="ignore"):

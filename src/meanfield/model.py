@@ -17,7 +17,8 @@ is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
 index array (``arange(N)`` for the full data, the batch for a minibatch)
 returns one term per index; with an int ``idx`` it returns that single
 term. The likelihood is the sum of those terms, so
-:func:`minibatch_log_joint` can subsample any model.
+:func:`minibatch_log_joint` can subsample any model. Both call one joint,
+``_joint(model, data, zeta, idx, scale)``, which the engine calls directly.
 
 Values may carry leading draw axes, one draw per index, on the tape-free
 float path and on the tape alike: :func:`constrain_blocks` carries them
@@ -58,7 +59,6 @@ __all__ = [
     "ModelDefinition",
     "constrain_blocks",
     "draw_chunks",
-    "log_joint_draws",
     "log_joint_unconstrained",
     "minibatch_log_joint",
 ]
@@ -263,6 +263,8 @@ def constrain_blocks(model: ModelDefinition, zeta):
 
 
 def _joint(model, data, zeta, idx, scale):
+    """The joint at ``zeta`` over the observations ``idx`` (a 1-D index
+    array), the likelihood scaled by ``scale`` unless it is None."""
     values, log_det = constrain_blocks(model, zeta)
     out = model.log_prior(values, data)
     if log_det is not None:
@@ -287,23 +289,8 @@ def log_joint_unconstrained(model: ModelDefinition, data: Dataset, zeta):
                   np.arange(model.num_observations(data)), None)
 
 
-def log_joint_draws(model: ModelDefinition, data: Dataset, zetas):
-    """:func:`log_joint_unconstrained` of each row of the float array
-    ``zetas``, one draw per row, through :func:`draw_chunks` (the index of
-    the full data is built once): yields ``(key, joints)``, joints None
-    for a draw out of the domain."""
-    idx = np.arange(model.num_observations(data))
-    return draw_chunks(lambda key: _joint(model, data, zetas[key], idx, None),
-                       len(zetas), len(idx))
-
-
-def minibatch_log_joint(model: ModelDefinition, data: Dataset,
-                        batch: Sequence[int], zeta):
-    """Subsampled joint: prior + Jacobian + (N/B) * sum of batch terms.
-
-    Scaling the batch likelihood by N/B makes the result an unbiased
-    estimate of the full-data log joint under uniformly drawn batches.
-    """
+def _batch_index(model: ModelDefinition, data: Dataset, batch):
+    """The checked index array of ``batch`` and its N/B likelihood scale."""
     total = model.num_observations(data)
     idx = np.asarray(batch)
     if idx.size == 0:
@@ -318,7 +305,17 @@ def minibatch_log_joint(model: ModelDefinition, data: Dataset,
     if outside.size:
         raise ConfigurationError(
             f"minibatch index {outside[0]} outside [0, {total})")
-    return _joint(model, data, zeta, idx, total / len(idx))
+    return idx, total / len(idx)
+
+
+def minibatch_log_joint(model: ModelDefinition, data: Dataset,
+                        batch: Sequence[int], zeta):
+    """Subsampled joint: prior + Jacobian + (N/B) * sum of batch terms.
+
+    Scaling the batch likelihood by N/B makes the result an unbiased
+    estimate of the full-data log joint under uniformly drawn batches.
+    """
+    return _joint(model, data, zeta, *_batch_index(model, data, batch))
 
 
 def draw_chunks(score: Callable[[Any], Any], num_draws: int, points: int):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -292,7 +293,7 @@ class TestEstimateGradients:
                 expected = _one_tape_per_draw(model, EMPTY_DATA, p, m, seed,
                                               path)
                 g_mu, g_omega, _, redraws = engine._counted_gradients(
-                    model, EMPTY_DATA, p, m, seed, path, None)
+                    model, EMPTY_DATA, p, m, seed, path, np.arange(0), None)
             assert (g_mu.tolist(), g_omega.tolist(), redraws) == \
                 (expected[0].tolist(), expected[1].tolist(), expected[2])
         if m == 40:  # each region holds 2-7% of the first draws
@@ -313,8 +314,10 @@ class TestEstimateGradients:
         toy = gaussian_toy()
         p = VariationalParams([0.3], [-0.5])
         g_mu, g_omega, elements, redraws = engine._counted_gradients(
-            replace(toy, log_prior=log_prior), EMPTY_DATA, p, 4, 9, (), None)
-        ref = engine._counted_gradients(toy, EMPTY_DATA, p, 4, 9, (), None)
+            replace(toy, log_prior=log_prior), EMPTY_DATA, p, 4, 9, (),
+            np.arange(0), None)
+        ref = engine._counted_gradients(toy, EMPTY_DATA, p, 4, 9, (),
+                                        np.arange(0), None)
         assert (g_mu.tolist(), g_omega.tolist(), redraws) == \
             (ref[0].tolist(), ref[1].tolist(), 0)
         # a tape holds the leaf, the block's value and the density, one
@@ -612,6 +615,39 @@ class TestFit:
         assert trace.clamp_events >= 1
         assert np.all(np.abs(params.omega) <= 20.0)
 
+    def test_an_overflowing_step_is_not_a_warning(self):
+        # the joint (about -1e200) and its gradient (about 1e200) are
+        # finite, but the step squares the gradient: the square overflowed
+        # outside fit's silenced region and warned
+        narrow = replace(gaussian_toy(), log_prior=lambda v, data:
+                         dens.normal(v["z"], 0.0, 1e-100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, trace = fit(narrow, EMPTY_DATA,
+                                FitConfig(max_iterations=3, eval_interval=1))
+        assert len(trace) == 3
+        assert np.isfinite(params.mu).all()
+
+    @pytest.mark.parametrize("settings", [
+        {}, {"grad_samples": 3}, {"minibatch": 2}], ids=["full", "m3", "b2"])
+    def test_observations_are_counted_once_per_fit(self, settings):
+        # the full index is built once per fit and a batch once per
+        # iteration, not once per tape or per objective estimate
+        model, data = small_zoo_instance("poisson_exponential")
+        calls = []
+
+        def num_observations(d):
+            calls.append(d)
+            return model.num_observations(d)
+
+        counted = replace(model, num_observations=num_observations)
+        for iterations in (4, 40):
+            calls.clear()
+            fit(counted, data, FitConfig(max_iterations=iterations,
+                                         eval_interval=2, elbo_samples=5,
+                                         **settings))
+            assert len(calls) == 1
+
 
 class TestDrawPosterior:
     def test_near_degenerate_draws(self):
@@ -680,6 +716,27 @@ def test_gradient_estimator_unbiased_light():
     assert abs(g_mu[0] - (-mu)) < 4 * se_mu
     # analytic omega gradient: 1 - e^{2 omega}
     assert abs(g_omega[0] - (1.0 - math.exp(2 * omega))) < 0.05
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, "rng must be an integer, got 1.5"),
+    (True, "rng must be an integer, got True"),
+    (np.float64(2.0), r"rng must be an integer, got .*2\.0"),
+    (-1, "rng must be >= 0, got -1")], ids=["float", "bool", "np_float",
+                                          "negative"])
+@pytest.mark.parametrize("call", [
+    lambda p, rng: estimate_gradients(gaussian_toy(), EMPTY_DATA, p, 2, rng),
+    lambda p, rng: estimate_elbo(gaussian_toy(), EMPTY_DATA, p, 2, rng),
+    lambda p, rng: draw_posterior(gaussian_toy(), p, 2, rng),
+], ids=["estimate_gradients", "estimate_elbo", "draw_posterior"])
+def test_a_number_as_rng_is_checked_as_fit_config_seed(call, value, message):
+    # a float or a bool ran as seed 1 or raised a TypeError, and -1 a bare
+    # ValueError
+    p = VariationalParams([0.0], [0.0])
+    with pytest.raises(ConfigurationError, match=message):
+        call(p, value)
+    for good in (np.int64(3), np.random.SeedSequence(3)):
+        call(p, good)
 
 
 @pytest.mark.parametrize("call, name", [

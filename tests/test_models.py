@@ -13,6 +13,7 @@ import meanfield
 from meanfield import autodiff as ad
 from meanfield import transforms as tr
 from meanfield import zoo
+from meanfield.engine import VariationalParams, estimate_gradients
 from meanfield.errors import ConfigurationError, ShapeError
 from meanfield.model import Dataset, ModelDefinition, \
     log_joint_unconstrained, minibatch_log_joint, constrain_blocks
@@ -462,15 +463,25 @@ def test_minibatch_scaled_example():
     assert value == pytest.approx(-4.3862944, abs=1e-7)
 
 
-def test_minibatch_validation():
+@pytest.mark.parametrize("batch, message", [
+    ([], "minibatch is empty"),
+    ([[0], [1]], "minibatch must be a list of indices"),
+    ([0.0, 1.0], "minibatch must be a list of indices"),
+    ([0, 1, 0], "minibatch size 3 exceeds 2 observations"),
+    ([5], r"minibatch index 5 outside \[0, 2\)"),
+    ([1, 2], r"minibatch index 2 outside \[0, 2\)"),
+    ([-1], r"minibatch index -1 outside \[0, 2\)")])
+@pytest.mark.parametrize("call", [
+    lambda m, data, batch: minibatch_log_joint(m, data, batch, [0.0]),
+    lambda m, data, batch: estimate_gradients(
+        m, data, VariationalParams([0.0], [0.0]), 2, 0, batch=batch),
+], ids=["minibatch_log_joint", "estimate_gradients"])
+def test_minibatch_validation(call, batch, message):
+    # both calls share one batch check, so they give the same message
     m = zoo.make_model("poisson_exponential")
     data = Dataset({"x": [2, 2]})
-    with pytest.raises(ConfigurationError, match="empty"):
-        minibatch_log_joint(m, data, [], [0.0])
-    with pytest.raises(ConfigurationError, match="exceeds"):
-        minibatch_log_joint(m, data, [0, 1, 0], [0.0])
-    with pytest.raises(ConfigurationError, match="outside"):
-        minibatch_log_joint(m, data, [5], [0.0])
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        call(m, data, batch)
 
 
 def test_log_joint_invariant_to_block_order():
