@@ -382,18 +382,19 @@ def _lgamma(v):
     return np.array([_lgamma1(t) for t in v.ravel().tolist()]).reshape(v.shape)
 
 
+def _digamma(v):
+    # imported here: zoo models take log_gamma, a gamma shape and a
+    # Dirichlet concentration only of constants, so a batch job never
+    # loads scipy
+    from scipy.special import digamma
+    return digamma(v)
+
+
 def log_gamma(x):
     if type(x) is not Var:
         return _lgamma(x)
     v = x.val
-
-    def partial(g):
-        # imported here: zoo models apply log_gamma only to constants, so
-        # a batch job never loads scipy
-        from scipy.special import digamma
-        return g * digamma(v)
-
-    return _unary(x, _lgamma(v), partial)
+    return _unary(x, _lgamma(v), lambda g: g * _digamma(v))
 
 
 # -- reductions and structure -------------------------------------------------
@@ -407,13 +408,27 @@ def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
     if axis is not None and len(src) == (
             len(axis) if type(axis) is tuple else 1):
         axis = None  # the axes cover x: record the cheaper vjp of a total
+    keep = None if axis is None else _kept(src, axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.full(src, g),)
-        return (np.broadcast_to(np.expand_dims(g, axis), src),)
+        out = np.empty(src)
+        if keep is None:
+            out.fill(g)
+        else:
+            out[...] = g.reshape(keep)
+        return (out,)
 
     return x.graph._push((x.i,), np.add.reduce(x.val, axis=axis), vjp)
+
+
+def _kept(shape: tuple, axis) -> tuple:
+    """``shape`` with the reduced ``axis`` (an int or a tuple) as length 1:
+    the shape a reduction's adjoint is reshaped to, to broadcast back over
+    the operand without numpy's Python-level ``expand_dims``."""
+    keep = list(shape)
+    for a in axis if type(axis) is tuple else (axis,):
+        keep[a] = 1
+    return tuple(keep)
 
 
 def _lse(v, axis):
@@ -433,11 +448,12 @@ def log_sum_exp(x, axis=-1):
         return _lse(x, axis)
     v = x.val
     out = _lse(v, axis)
+    keep = _kept(v.shape, axis)
 
     def vjp(g):
-        o = np.expand_dims(out, axis)
+        o = out.reshape(keep)
         w = np.where(np.isfinite(o), np.exp(v - o), 0.0)
-        return (np.expand_dims(g, axis) * w,)
+        return (np.asarray(g).reshape(keep) * w,)
 
     return x.graph._push((x.i,), out, vjp)
 
@@ -473,10 +489,12 @@ def cumsum(x, axis=-1):
 def concat(xs: Sequence, axis=-1):
     """Join arrays and Vars along an existing axis."""
     vals = [value(x) for x in xs]
-    cuts = np.cumsum([v.shape[axis] for v in vals])[:-1]
+    # operand k's slice of the adjoint is edges[k]:edges[k + 1] on axis
+    edges = np.cumsum([0] + [v.shape[axis] for v in vals]).tolist()
+    lead = (slice(None),) * (axis % vals[0].ndim)
     return node(xs, np.concatenate(vals, axis=axis),
-                [lambda g, k=k: np.split(g, cuts, axis=axis)[k]
-                 for k in range(len(xs))])
+                [lambda g, key=lead + (slice(a, b),): g[key]
+                 for a, b in zip(edges, edges[1:])])
 
 
 def stack(xs: Sequence):

@@ -14,11 +14,12 @@ A count's ``log k!`` is read from a table of ``math.lgamma(i + 1.0)`` that
 is built once per process and grown on demand; counts at or above 2**16
 take ``log_gamma(k + 1.0)`` on each call, with the same bits.
 
-A density whose partial derivatives are elementary is one tape node with
-closed-form partials (:func:`autodiff.node`), whatever the size of its
-arguments. The gamma, inverse-gamma and Dirichlet densities are composed of
-tape primitives instead: their partials in the shape or concentration need
-the digamma function, which only the ``log_gamma`` primitive brings in.
+Every density is one tape node with closed-form partials
+(:func:`autodiff.node`), whatever the size of its arguments. The partials
+in a gamma or inverse-gamma shape and a Dirichlet concentration need the
+digamma function, which loads scipy; it is imported when such a partial is
+first taken, so only a tape with a shape or concentration among its values
+loads it.
 """
 
 from __future__ import annotations
@@ -97,16 +98,26 @@ def gamma(x, shape, rate):
     _positive(shape, "gamma", "shape")
     _positive(rate, "gamma", "rate")
     _positive(x, "gamma", "value")
-    return (shape * ad.log(rate) - ad.log_gamma(shape)
-            + (shape - 1.0) * ad.log(x) - rate * x)
+    xv, av, rv = ad.value(x), ad.value(shape), ad.value(rate)
+    lx, lr = np.log(xv), np.log(rv)
+    return ad.node((x, shape, rate),
+                   av * lr - ad.log_gamma(av) + (av - 1.0) * lx - rv * xv,
+                   (lambda g: g * ((av - 1.0) / xv - rv),
+                    lambda g: g * (lr - ad._digamma(av) + lx),
+                    lambda g: g * (av / rv - xv)))
 
 
 def inverse_gamma(x, shape, scale):
     _positive(shape, "inverse_gamma", "shape")
     _positive(scale, "inverse_gamma", "scale")
     _positive(x, "inverse_gamma", "value")
-    return (shape * ad.log(scale) - ad.log_gamma(shape)
-            - (shape + 1.0) * ad.log(x) - scale / x)
+    xv, av, bv = ad.value(x), ad.value(shape), ad.value(scale)
+    lx, lb = np.log(xv), np.log(bv)
+    return ad.node((x, shape, scale),
+                   av * lb - ad.log_gamma(av) - (av + 1.0) * lx - bv / xv,
+                   (lambda g: g * ((bv / xv - (av + 1.0)) / xv),
+                    lambda g: g * (lb - ad._digamma(av) - lx),
+                    lambda g: g * (av / bv - 1.0 / xv)))
 
 
 def exponential(x, rate):
@@ -128,14 +139,24 @@ def dirichlet(x, alpha):
     if k < 2 or np.shape(av)[-1:] != (k,):
         raise DomainError(f"dirichlet: need matching vectors of length >= 2,"
                           f" got {np.shape(xv)}/{np.shape(av)}")
-    total = np.sum(xv, axis=-1)
+    total = np.add.reduce(xv, axis=-1)
     if not _holds(np.abs(total - 1.0) <= 1e-8):
         raise DomainError(f"dirichlet: value sums to {total}, not 1")
     _positive(alpha, "dirichlet", "concentration")
     _positive(x, "dirichlet", "component")
-    return (ad.sum((alpha - 1.0) * ad.log(x), axis=-1)
-            - ad.sum(ad.log_gamma(alpha), axis=-1)
-            + ad.log_gamma(ad.sum(alpha, axis=-1)))
+    lx = np.log(xv)
+    a0 = np.add.reduce(av, axis=-1)
+    out = (np.add.reduce((av - 1.0) * lx, axis=-1)
+           - np.add.reduce(ad.log_gamma(av), axis=-1) + ad.log_gamma(a0))
+    keep = np.shape(out) + (1,)
+
+    def rows(g):  # a row's adjoint, to broadcast over its components
+        return np.asarray(g).reshape(keep)
+
+    return ad.node((x, alpha), out,
+                   (lambda g: rows(g) * ((av - 1.0) / xv),
+                    lambda g: rows(g) * (lx - ad._digamma(av)
+                                         + ad._digamma(a0)[..., None])))
 
 
 def poisson(k, rate):

@@ -6,8 +6,8 @@ vector zeta and back, and reports log|det J| of the constraining direction
 of variables. :func:`constrain` is an array expression over the last axis,
 on float arrays or tape values alike, so gradients flow through the
 transform and its Jacobian term. An elementwise kind (LowerBound,
-UpperBound, Interval) records its value and its log-det as one tape node
-each, with closed-form partials. :func:`unconstrain` and
+UpperBound, Interval) and Simplex record their value and their log-det as
+one tape node each, with closed-form partials. :func:`unconstrain` and
 :func:`check_value` are float array expressions over the same axes (they
 initialize from or inspect constrained values, never differentiated).
 
@@ -172,6 +172,11 @@ def constrain(kind: TransformKind, zeta, draws: int = 0):
     if isinstance(kind, Identity):
         return zeta, 0.0
     axes = tuple(range(draws, len(dims))) if draws else None
+    keep = dims[:draws] + (1,) * (len(dims) - draws)
+
+    def per_draw(g):  # a log-det's adjoint, to broadcast over block axes
+        return g if axes is None else g.reshape(keep)
+
     v = ad.value(zeta)
     if isinstance(kind, (LowerBound, UpperBound)):
         e = np.exp(v)
@@ -189,8 +194,7 @@ def constrain(kind: TransformKind, zeta, draws: int = 0):
         log_det = ad.node(
             (zeta,),
             ad.sum(math.log(width) + v - 2.0 * ad.softplus(v), axes),
-            (lambda g: (g if axes is None else np.expand_dims(g, axes))
-             * (1.0 - 2.0 * s),))
+            (lambda g: per_draw(g) * (1.0 - 2.0 * s),))
         return theta, log_det
     if isinstance(kind, Simplex):
         # With t = zeta - offsets and c the running sum of softplus(t), the
@@ -199,13 +203,30 @@ def constrain(kind: TransformKind, zeta, draws: int = 0):
         # log theta_i = t_i - c_i, and the last piece is exp(-c_{K-1}). No
         # piece is the difference of two rounded sticks, so none rounds
         # to 0 when another saturates.
-        t = zeta - _stick_offsets(kind.size)
-        sp = ad.softplus(t)
-        c = ad.cumsum(sp)
+        size = kind.size
+        t = v - _stick_offsets(size)
+        sp = np.logaddexp(0.0, t)
+        c = sp.cumsum(axis=-1)
         log_head = t - c
-        theta = ad.exp(ad.concat([log_head, -c[..., -1:]]))
+        out = np.exp(np.concatenate([log_head, -c[..., -1:]], axis=-1))
         # sum of log(stick) + log s + log(1 - s) over the pieces
-        return theta, ad.sum(log_head - sp, axes)
+        log_det = np.add.reduce(log_head - sp, axis=axes)
+        if type(zeta) is not ad.Var:
+            return out, log_det
+        s = ad.logistic(t)
+
+        def d_theta(g):
+            # d log theta_i / d t_m is [i == m] - s_m [i >= m]; the
+            # adjoint of log theta is g * theta
+            gl = g * out
+            tail = gl[..., ::-1].cumsum(axis=-1)[..., :0:-1]
+            return gl[..., :-1] - s * tail
+
+        # d log_det / d t_m = 1 - (K - m) s_m: t_m enters c_i for the
+        # K - 1 - m sticks i >= m, and its own log(1 - s)
+        slope = 1.0 - np.arange(size, 1, -1) * s
+        return (ad.node((zeta,), out, (d_theta,)),
+                ad.node((zeta,), log_det, (lambda g: per_draw(g) * slope,)))
     if isinstance(kind, Ordered):
         steps = ad.concat([zeta[..., :1], ad.exp(zeta[..., 1:])])
         return ad.cumsum(steps), ad.sum(zeta[..., 1:], axes)

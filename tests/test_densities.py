@@ -238,6 +238,74 @@ def test_dirichlet_gradient_wrt_value():
             assert abs(gv - fv) <= 1e-5 * max(1.0, abs(fv))
 
 
+def _dirichlet_formula(x, alpha):
+    """Dirichlet log density per row, from scipy's log-gamma."""
+    from scipy.special import gammaln
+    return (np.sum((alpha - 1.0) * np.log(x), axis=-1)
+            - np.sum(gammaln(alpha), axis=-1) + gammaln(np.sum(alpha, -1)))
+
+
+def _simplex_rows(rng, shape):
+    raw = rng.uniform(0.2, 1.0, shape)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+# (name, density on tape values, float oracle, operand sampler): operands
+# of different shapes, so that each adjoint is summed over broadcast axes
+_ARRAY_GRAD_CASES = [
+    ("gamma", dens.gamma, dens.gamma,
+     lambda rng: [rng.uniform(0.3, 5, (3, 4)), rng.uniform(0.5, 4, 4),
+                  rng.uniform(0.5, 3, (3, 1))]),
+    ("inverse_gamma", dens.inverse_gamma, dens.inverse_gamma,
+     lambda rng: [rng.uniform(0.3, 5, (3, 4)), rng.uniform(0.5, 4, (3, 1)),
+                  rng.uniform(0.5, 3, 4)]),
+    # the value's rows move off the simplex under a finite difference, so
+    # the oracle is the formula, which does not check the sum
+    ("dirichlet", dens.dirichlet, _dirichlet_formula,
+     lambda rng: [_simplex_rows(rng, (2, 3, 4)), rng.uniform(0.5, 4, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,fn,oracle,sample", _ARRAY_GRAD_CASES,
+                         ids=[c[0] for c in _ARRAY_GRAD_CASES])
+def test_density_partials_on_arrays_match_central_differences(
+        name, fn, oracle, sample):
+    # every operand a tape value, a shape or concentration included
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        args = sample(rng)
+        w = rng.normal(0.0, 1.0, np.shape(oracle(*args)))
+        g = ad.Graph()
+        leaves = [g.leaf(a) for a in args]
+        out = fn(*leaves)
+        assert len(g) == len(leaves) + 1  # the density is one node
+        grads = ad.gradient(ad.sum(w * out), leaves)
+        cuts = np.cumsum([a.size for a in args])[:-1]
+
+        def weighted(flat):
+            parts = np.split(np.asarray(flat), cuts)
+            return float(np.sum(w * oracle(*[
+                p.reshape(a.shape) for p, a in zip(parts, args)])))
+
+        fd = central_diff(weighted, np.concatenate([a.ravel() for a in args]),
+                          h=1e-6)
+        for gv, fv in zip(np.concatenate([d.ravel() for d in grads]), fd):
+            assert abs(gv - fv) <= 1e-6 * max(1.0, abs(fv)), (name, gv, fv)
+
+
+def test_dirichlet_float_path_keeps_the_composed_bits():
+    rng = np.random.default_rng(4)
+    x = _simplex_rows(rng, (2, 3, 4))
+    alpha = rng.uniform(0.5, 4.0, 4)
+    lgamma = np.vectorize(math.lgamma)
+    expected = (np.sum((alpha - 1.0) * np.log(x), axis=-1)
+                - np.sum(lgamma(alpha), axis=-1)
+                + math.lgamma(np.sum(alpha, axis=-1)))
+    assert dens.dirichlet(x, alpha).tobytes() == expected.tobytes()
+    taped = dens.dirichlet(ad.Graph().leaf(x), alpha)
+    assert taped.val.tobytes() == expected.tobytes()
+
+
 def test_domain_errors_name_the_distribution():
     with pytest.raises(DomainError, match="normal"):
         dens.normal(0.0, 0.0, -1.0)

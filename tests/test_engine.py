@@ -15,6 +15,7 @@ from meanfield.engine import FitConfig, OptState, VariationalParams, \
     inverse_standardize, substream
 from meanfield.errors import ConfigurationError, DomainError, \
     EvaluationFailure, ShapeError
+from meanfield.evaluate import heldout_log_predictive
 from meanfield.io import write_samples_csv
 from meanfield.model import Dataset, ModelDefinition, \
     log_joint_unconstrained, minibatch_log_joint
@@ -218,6 +219,31 @@ class TestEstimateElbo:
             assert at_opt >= perturbed
 
 
+# estimate_elbo(model, data, p, 50, 5) and the mean held-out score of
+# draw_posterior(model, p, 30, substream(0, 500)) on a model's own small
+# instance, p drawn from default_rng(3), as float.hex. Both run on the
+# tape-free float path, whose bits a change to the tape's nodes keeps.
+_FLOAT_PATH_BITS = {
+    "gmm": ("-0x1.da88d2a6effc6p+5", "-0x1.dcabe9682e4afp+1"),
+    "dirichlet_exponential_nmf": ("-0x1.2f313a7a9d741p+6",
+                                  "-0x1.1818df500077dp+2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_PATH_BITS))
+def test_float_path_estimates_keep_their_bits(name):
+    model, data = small_zoo_instance(name)
+    gen = np.random.default_rng(3)
+    p = VariationalParams(gen.normal(0.0, 0.3, model.dim),
+                          gen.normal(-1.0, 0.2, model.dim))
+    with np.errstate(all="ignore"):
+        elbo = estimate_elbo(model, data, p, 50, 5)
+        draws = draw_posterior(model, p, 30, substream(0, 500))
+        score = heldout_log_predictive(model, draws, data)
+    assert (float(elbo).hex(), float(score.mean_log_predictive).hex()) == \
+        _FLOAT_PATH_BITS[name]
+
+
 class TestEstimateGradients:
     def test_toy_gradient_sign_and_scale(self):
         toy = gaussian_toy()
@@ -263,22 +289,25 @@ class TestEstimateGradients:
         (11, ())], ids=["seed_sequence", "int"])
     def test_draw_k_comes_from_its_substream(self, rng, path, name,
                                              batched):
-        # the mean of m = 3 draws, built by hand with one tape per draw:
+        # the mean of m draws, built by hand with one tape per draw:
         # draw k's eta is the first of substream(seed, *path, k). The
-        # estimate puts the three draws on one tape, and each row's
-        # gradient must be its draw's, bit for bit
+        # estimate puts the m draws on one tape, and each row's gradient
+        # must be its draw's, bit for bit, through every node the model
+        # records (the fused simplex and Dirichlet nodes of the gmm and
+        # Dirichlet models, the gamma node of the ARD and gamma models)
         model, data = small_zoo_instance(name)
         n = model.num_observations(data)
         batch = [0, n // 2, n - 1] if batched else None
         gen = np.random.default_rng(3)
         p = VariationalParams(gen.normal(0.0, 0.3, model.dim),
                               gen.normal(-1.0, 0.2, model.dim))
-        mean_mu, mean_omega, redraws = _one_tape_per_draw(
-            model, data, p, 3, 11, path, batch)
-        assert redraws == 0
-        g_mu, g_omega = estimate_gradients(model, data, p, 3, rng, batch)
-        assert g_mu.tolist() == mean_mu.tolist()
-        assert g_omega.tolist() == mean_omega.tolist()
+        for m in (2, 3, 5):
+            mean_mu, mean_omega, redraws = _one_tape_per_draw(
+                model, data, p, m, 11, path, batch)
+            assert redraws == 0
+            g_mu, g_omega = estimate_gradients(model, data, p, m, rng, batch)
+            assert g_mu.tolist() == mean_mu.tolist()
+            assert g_omega.tolist() == mean_omega.tolist()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 40])
     def test_failed_draws_are_redrawn_as_one_tape_per_draw(self, m):

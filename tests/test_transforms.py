@@ -358,6 +358,74 @@ def test_simplex_saturated_stick_stays_inside():
     assert all(math.isfinite(v) for v in ad.gradient(log_det, leaves))
 
 
+def _composed_simplex(zeta, draws):
+    """The stick-breaking map of a float array, written out in numpy."""
+    size = zeta.shape[-1] + 1
+    t = zeta - np.log(np.arange(size - 1, 0, -1, dtype=float))
+    sp = np.logaddexp(0.0, t)
+    c = np.cumsum(sp, axis=-1)
+    log_head = t - c
+    theta = np.exp(np.concatenate([log_head, -c[..., -1:]], axis=-1))
+    axes = tuple(range(draws, zeta.ndim)) if draws else None
+    return theta, np.add.reduce(log_head - sp, axis=axes)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (2, 3, 9)],
+                         ids=str)
+def test_simplex_value_and_log_det_keep_the_composed_bits(shape):
+    # float path and tape alike: the tape's value is the float path's
+    rng = np.random.default_rng(len(shape))
+    zeta = rng.normal(0.0, 3.0, shape)
+    kind = tr.Simplex(shape[-1] + 1)
+    for draws in range(len(shape)):
+        expected = _composed_simplex(zeta, draws)
+        got = tr.constrain(kind, zeta, draws)
+        taped = tr.constrain(kind, ad.Graph().leaf(zeta), draws)
+        for e, f, t in zip(expected, got, taped):
+            assert np.asarray(f).tobytes() == np.asarray(e).tobytes()
+            assert np.asarray(t.val).tobytes() == np.asarray(e).tobytes()
+
+
+@pytest.mark.parametrize("saturated", [False, True],
+                         ids=["moderate", "saturated"])
+@pytest.mark.parametrize("size", [2, 3, 10])
+def test_simplex_partials_match_central_differences(size, saturated):
+    # one leaf of (draws, rows, K-1) coordinates with one draw axis. At
+    # zeta = +-30 a piece holds nearly all of its stick or nearly none,
+    # so theta is weighted through its log, whose partials stay O(1)
+    rng = np.random.default_rng(size)
+    shape = (2, 3, size - 1)
+    zeta = (rng.choice([-30.0, 30.0], shape) if saturated
+            else rng.normal(0.0, 1.5, shape))
+    w = rng.normal(0.0, 1.0, (2, 3, size))
+    u = rng.normal(0.0, 1.0, 2)
+    kind = tr.Simplex(size)
+
+    def objective(theta, log_det):
+        weighted = ad.log(theta) if saturated else theta
+        return (ad.sum(w * weighted), ad.sum(u * log_det))
+
+    for pick in range(2):  # theta, then the log-det
+        g = ad.Graph()
+        leaf = g.leaf(zeta)
+        out = objective(*tr.constrain(kind, leaf, 1))[pick]
+        (grad,) = ad.gradient(out, [leaf])
+        fd = central_diff(
+            lambda z: objective(*tr.constrain(
+                kind, np.reshape(z, shape), 1))[pick],
+            zeta.ravel(), h=1e-5)
+        assert np.isfinite(grad).all()
+        for gv, fv in zip(grad.ravel(), fd):
+            assert abs(gv - fv) <= 1e-6 * max(1.0, abs(fv)), (pick, gv, fv)
+
+
+def test_simplex_is_two_tape_nodes():
+    g = ad.Graph()
+    leaf = g.leaf(np.zeros((2, 3, 4)))
+    theta, log_det = tr.constrain(tr.Simplex(5), leaf, 1)
+    assert (len(g), theta.i, log_det.i) == (3, 1, 2)
+
+
 @pytest.mark.parametrize("k", [3, 4, 10])
 def test_simplex_inside_support_for_wide_draws(k):
     kind = tr.Simplex(k)
