@@ -12,8 +12,9 @@ build and are rebuilt for every evaluation; nothing is retained or reused
 between evaluations.
 
 Primitives broadcast as numpy does: arithmetic (the :class:`Var`
-operators), the elementwise :func:`exp`, :func:`log`, :func:`sqrt`,
-:func:`logistic`, :func:`softplus` and :func:`log_gamma`, the reductions
+operators, and :func:`add` for a sum of many terms), the elementwise
+:func:`exp`, :func:`log`, :func:`sqrt`, :func:`logistic`,
+:func:`softplus` and :func:`log_gamma`, the reductions
 :func:`sum` and :func:`log_sum_exp` over an axis, indexing (``x[key]``,
 integer-array lookups included, and :func:`take` along an axis),
 :func:`cumsum`, :func:`concat`, :func:`stack` and ``Var.reshape``;
@@ -43,6 +44,7 @@ __all__ = [
     "gradient",
     "value",
     "as_array",
+    "add",
     "exp",
     "log",
     "sqrt",
@@ -284,6 +286,16 @@ def _add(x, y):
     return node((x, y), value(x) + value(y), (_same, _same))
 
 
+def add(*terms):
+    """The sum of ``terms``, added left to right as a chain of ``+`` adds
+    them, recorded as one node: each Var term's adjoint is the node's,
+    summed over the axes broadcasting added."""
+    out = value(terms[0])
+    for t in terms[1:]:
+        out = out + value(t)
+    return node(terms, out, (_same,) * len(terms))
+
+
 def _sub(x, y):
     return node((x, y), value(x) - value(y), (_same, np.negative))
 
@@ -358,12 +370,19 @@ def logistic(x):
     return _unary(x, out, lambda g: g * out * (1.0 - out))
 
 
+def _softplus(v):
+    # max(v, 0) + log1p(exp(-|v|)) is np.logaddexp(0, v)'s formula on
+    # ufuncs that have SIMD loops, which logaddexp lacks; both are
+    # faithfully rounded, so they differ by at most 2 ulps
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+
 def softplus(x):
     """log(1 + exp(x)) without overflow."""
     if type(x) is not Var:
-        return np.logaddexp(0.0, x)
+        return _softplus(x)
     v = x.val
-    return _unary(x, np.logaddexp(0.0, v), lambda g: g * _logistic(v))
+    return _unary(x, _softplus(v), lambda g: g * _logistic(v))
 
 
 def _lgamma1(v: float) -> float:

@@ -24,6 +24,7 @@ loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -130,6 +131,25 @@ def exponential(x, rate):
                    (lambda g: -g * r, lambda g: g * (1.0 / r - v)))
 
 
+def _concentration(av):
+    """The sum of concentration ``av`` over its last axis, the sum of its
+    log-gammas and the log-gamma of its sum."""
+    a0 = np.add.reduce(av, axis=-1)
+    return a0, np.add.reduce(ad.log_gamma(av), axis=-1), ad.log_gamma(a0)
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_concentration(shape, raw):
+    # _concentration of a constant, once per distinct value: a zoo prior
+    # passes the same one on every call; the results are shared, so
+    # read-only
+    parts = _concentration(np.frombuffer(raw).reshape(shape))
+    for p in parts:
+        if type(p) is np.ndarray:
+            p.flags.writeable = False
+    return parts
+
+
 def dirichlet(x, alpha):
     """Log density of each row of ``x`` (last axis) on the open simplex
     under the concentration vector ``alpha``."""
@@ -145,9 +165,11 @@ def dirichlet(x, alpha):
     _positive(alpha, "dirichlet", "concentration")
     _positive(x, "dirichlet", "component")
     lx = np.log(xv)
-    a0 = np.add.reduce(av, axis=-1)
-    out = (np.add.reduce((av - 1.0) * lx, axis=-1)
-           - np.add.reduce(ad.log_gamma(av), axis=-1) + ad.log_gamma(a0))
+    if type(alpha) is ad.Var:
+        a0, lg, lg0 = _concentration(av)
+    else:
+        a0, lg, lg0 = _constant_concentration(av.shape, av.tobytes())
+    out = np.add.reduce((av - 1.0) * lx, axis=-1) - lg + lg0
     keep = np.shape(out) + (1,)
 
     def rows(g):  # a row's adjoint, to broadcast over its components

@@ -7,7 +7,9 @@ transformed log joint of the draws on a fresh tape (one tape per chunk of
 draws, with the draws on a leading axis), and takes an adaptive-stepsize
 ascent step; the stepsize uses the summed squared gradients of a sliding
 window (finite-memory variant of the accumulate-everything schedule). Its
-offset (1) and window (10 steps) are fixed, as in ADVI.
+offset (1) and window (10 steps) are fixed, as in ADVI. Objective
+estimates take no tape: they map and score the prior of a whole block of
+draws in one call, then the likelihood a chunk of draws per call.
 
 Every generator comes from :func:`substream`, at a named position
 `(seed, kind, iteration[, sample])`, so a draw does not depend on the
@@ -234,22 +236,46 @@ def _elbo_and_drops(model, data, params, n_samples, rng, idx):
     gen = _generator(rng)
     # one value per draw; NaN marks a draw out of the domain
     joints = np.full(n_samples, math.nan)
+
+    def prior(key):  # the values at draws ``key`` and _joint's prior part
+        values, log_det = constrain_blocks(model, zetas[key])
+        out = model.log_prior(values, data)
+        return values, out if log_det is None else out + log_det
+
+    def likelihood(values):
+        return ad.sum(model.loglik_term(values, data, idx), -1)
+
     # a wild draw may overflow: it is dropped, not reported as a warning
     with np.errstate(all="ignore"):
         # one (S, dim) draw holds the same numbers as S draws of dim
         zetas = inverse_standardize(
             params, gen.standard_normal((n_samples, params.dim)))
-        for key, v in draw_chunks(
-                lambda key: _joint(model, data, zetas[key], idx, None),
-                n_samples, len(idx)):
-            if v is not None:
-                joints[key] = v
-    values = joints[np.isfinite(joints)].tolist()
-    if not values:
+        for key, head in draw_chunks(prior, n_samples, 1):
+            if head is None:
+                continue
+            values, out = head
+            if not len(idx):
+                joints[key] = out
+            elif type(key) is slice:
+                # the block's likelihood, a chunk of its draws per call
+                block = joints[key]
+                out = np.broadcast_to(out, block.shape)  # a constant prior
+                for k, lik in draw_chunks(lambda k: likelihood(
+                        {name: v[k] for name, v in values.items()}),
+                        len(block), len(idx)):
+                    if lik is not None:
+                        block[k] = out[k] + lik
+            else:
+                try:
+                    joints[key] = out + likelihood(values)
+                except DomainError:
+                    pass
+    kept = joints[np.isfinite(joints)].tolist()
+    if not kept:
         raise EvaluationFailure(
             f"all {n_samples} objective samples were non-finite")
-    estimate = math.fsum(values) / len(values) + _entropy(params)
-    return estimate, n_samples - len(values)
+    estimate = math.fsum(kept) / len(kept) + _entropy(params)
+    return estimate, n_samples - len(kept)
 
 
 def estimate_elbo(model: ModelDefinition, data: Dataset,
@@ -258,12 +284,14 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
 
     Averages the transformed log joint over draws from the current
     approximation and adds the Gaussian entropy in closed form. The draws
-    are taken and standardized as one ``(n_samples, dim)`` array, then
-    evaluated in chunks of draws (:func:`model.draw_chunks`), each chunk
-    as one array expression over the draws and the data. Draws whose
-    evaluation is non-finite or out of domain are dropped (fit counts them
-    in ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
-    :class:`EvaluationFailure`.
+    are taken and standardized as one ``(n_samples, dim)`` array. The
+    transforms, log-det and prior are evaluated once per block of draws,
+    then the likelihood a chunk of the block's draws per call (both
+    through :func:`model.draw_chunks`); each draw's joint, (prior +
+    log-det) + likelihood, has the bits of that draw's joint alone. A
+    draw out of domain on its own or with a non-finite joint is dropped
+    (fit counts them in ``ElboTrace.elbo_draws_dropped``); if every draw
+    fails, raises :class:`EvaluationFailure`.
     """
     idx = np.arange(model.num_observations(data))
     return _elbo_and_drops(model, data, params, n_samples, rng, idx)[0]
@@ -402,9 +430,10 @@ def _step(params, g_mu, g_omega, opt_mu, opt_omega, config):
     rho_mu = adagrad_step(opt_mu, g_mu, config)
     rho_omega = adagrad_step(opt_omega, g_omega, config)
     omega = params.omega + rho_omega * g_omega
-    clipped = np.clip(omega, -_OMEGA_BOUND, _OMEGA_BOUND)
+    # np.clip and np.sum, without their Python-level wrappers
+    clipped = np.minimum(np.maximum(omega, -_OMEGA_BOUND), _OMEGA_BOUND)
     return (VariationalParams(params.mu + rho_mu * g_mu, clipped),
-            int(np.sum(clipped != omega)))
+            int(np.count_nonzero(clipped != omega)))
 
 
 def _converged(rows, threshold) -> bool:

@@ -18,7 +18,9 @@ index array (``arange(N)`` for the full data, the batch for a minibatch)
 returns one term per index; with an int ``idx`` it returns that single
 term. The likelihood is the sum of those terms, so
 :func:`minibatch_log_joint` can subsample any model. Both call one joint,
-``_joint(model, data, zeta, idx, scale)``, which the engine calls directly.
+``_joint(model, data, zeta, idx, scale)``, which the engine's gradient
+tapes call directly; its objective estimates add the same parts in the
+same order, the prior of a block of draws at once.
 
 Values may carry leading draw axes, one draw per index, on the tape-free
 float path and on the tape alike: :func:`constrain_blocks` carries them

@@ -31,6 +31,7 @@ Formulas:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -150,9 +151,13 @@ def _check_len(kind, got, expected):
             f"{type(kind).__name__}: expected length {expected}, got {got}")
 
 
+@functools.lru_cache(maxsize=64)
 def _stick_offsets(k: int) -> np.ndarray:
-    # log(K-1-i) for i = 0..K-2: zeta = 0 maps to the uniform simplex
-    return np.log(np.arange(k - 1, 0, -1, dtype=float))
+    # log(K-1-i) for i = 0..K-2: zeta = 0 maps to the uniform simplex;
+    # built once per K and shared, so read-only
+    offsets = np.log(np.arange(k - 1, 0, -1, dtype=float))
+    offsets.flags.writeable = False
+    return offsets
 
 
 def constrain(kind: TransformKind, zeta, draws: int = 0):
@@ -205,6 +210,8 @@ def constrain(kind: TransformKind, zeta, draws: int = 0):
         # to 0 when another saturates.
         size = kind.size
         t = v - _stick_offsets(size)
+        # np.logaddexp, not ad.softplus: the stick values, and through
+        # them the fits of the simplex models, keep their bits
         sp = np.logaddexp(0.0, t)
         c = sp.cumsum(axis=-1)
         log_head = t - c

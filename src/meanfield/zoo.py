@@ -131,24 +131,24 @@ def _build_hier_logistic(*, n_age, n_edu, n_age_edu, n_state, n_region_full):
                      (n_age, n_edu, n_age_edu, n_state, n_region_full)))
 
     def log_prior(v, data):
-        out = ad.sum(dens.normal(v["beta"], 0.0, 100.0), -1)
+        terms = [ad.sum(dens.normal(v["beta"], 0.0, 100.0), -1)]
         for g in _HIER_GROUPS:
             scale = v[f"sigma_{g}"]
-            out = (out + dens.uniform(scale, 0.0, 100.0)
-                   + ad.sum(dens.normal(v[g], 0.0, _each_point(scale)), -1))
-        return out
+            terms += [dens.uniform(scale, 0.0, 100.0),
+                      ad.sum(dens.normal(v[g], 0.0, _each_point(scale)), -1)]
+        return ad.add(*terms)
 
     def loglik(v, data, idx):
         beta = v["beta"]
         female = data["female"][idx]
         black = data["black"][idx]
-        yhat = (_column(beta, 0)
-                + _column(beta, 1) * black
-                + _column(beta, 2) * female
-                + _column(beta, 4) * (female * black)
-                + _column(beta, 3) * data["v_prev_full"][idx])
-        for g in _HIER_GROUPS:
-            yhat = yhat + ad.take(v[g], data[_HIER_INDEX[g]][idx])
+        yhat = ad.add(_column(beta, 0),
+                      _column(beta, 1) * black,
+                      _column(beta, 2) * female,
+                      _column(beta, 4) * (female * black),
+                      _column(beta, 3) * data["v_prev_full"][idx],
+                      *(ad.take(v[g], data[_HIER_INDEX[g]][idx])
+                        for g in _HIER_GROUPS))
         return dens.bernoulli_logit(data["y"][idx], yhat)
 
     blocks = tuple(BlockSpec(g, Identity(sizes[g])) for g in _HIER_GROUPS)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -280,3 +281,86 @@ def test_take_gathers_along_an_axis_of_floats_and_tape_values():
     cols = ad.take(leaf, np.array([1, 1]), -1)
     grad = ad.gradient(ad.sum(cols), [leaf])[0]
     assert grad.tolist() == [[0.0, 2.0, 0.0]] * 4
+
+
+def _ulps(a, b):
+    """Units in the last place between float arrays of one sign."""
+    return np.abs(np.asarray(a, dtype=float).view(np.int64)
+                  - np.asarray(b, dtype=float).view(np.int64))
+
+
+def _softplus_exact(x: float) -> float:
+    """log(1 + e^x) correctly rounded: decimal exp and ln are, and the
+    digits are enough that 1 + e^x keeps e^x's leading 40."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + max(0, int(-x / 2.3))
+        return float((1 + decimal.Decimal(x).exp()).ln())
+
+
+def test_softplus_is_faithfully_rounded_on_floats_and_the_tape():
+    # the SIMD formula and np.logaddexp are each within 1 ulp of the
+    # correctly rounded value, so within 2 ulps of each other
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(-800.0, 800.0, 100),
+                        rng.normal(0.0, 5.0, 300), [-708.5, -1.0, 36.0]])
+    out = ad.softplus(x)
+    g = ad.Graph()
+    assert ad.softplus(g.leaf(x)).val.tobytes() == out.tobytes()
+    exact = np.array([_softplus_exact(v) for v in x.tolist()])
+    assert _ulps(out, exact).max() <= 1
+    assert _ulps(np.logaddexp(0.0, x), exact).max() <= 1
+    assert _ulps(out, np.logaddexp(0.0, x)).max() <= 2
+
+
+def test_softplus_keeps_logaddexps_special_values():
+    specials = [0.0, -0.0, 745.0, -745.0, math.inf, -math.inf, math.nan]
+    with np.errstate(invalid="ignore"):  # logaddexp's, at NaN
+        expected = np.logaddexp(0.0, specials)
+    got = ad.softplus(np.array(specials))
+    assert np.array_equal(got, expected, equal_nan=True)
+    for v, want in zip(specials, expected.tolist()):
+        assert np.array_equal(ad.softplus(v), want, equal_nan=True)
+        if math.isfinite(v):  # a leaf must be finite
+            assert ad.softplus(ad.Graph().leaf(v)).val == want
+
+
+def test_add_keeps_the_bits_of_a_chain_of_plus():
+    rng = np.random.default_rng(5)
+    terms = [rng.normal(0.0, 10.0 ** k, 6) for k in range(-3, 5)]
+    chain = terms[0]
+    for t in terms[1:]:
+        chain = chain + t
+    assert ad.add(*terms).tobytes() == chain.tobytes()
+    g = ad.Graph()
+    leaves = [g.leaf(t) for t in terms]
+    assert ad.add(*leaves).val.tobytes() == chain.tobytes()
+
+
+def test_add_passes_its_adjoint_to_each_term_unbroadcast():
+    rng = np.random.default_rng(6)
+    w = rng.normal(0.0, 1.0, (3, 4))
+    g = ad.Graph()
+    s = g.leaf(0.5)
+    v = g.leaf(rng.normal(0.0, 1.0, 4))
+    m = g.leaf(rng.normal(0.0, 1.0, (3, 1)))
+    out = ad.add(s, v, 2.0, m, np.ones((3, 4)), v)  # v twice
+    assert out.val.shape == (3, 4)
+    d_s, d_v, d_m = ad.gradient(ad.sum(out * w), [s, v, m])
+    assert d_s == pytest.approx(w.sum(), rel=1e-12)
+    assert d_v.tolist() == pytest.approx((2.0 * w.sum(axis=0)).tolist(),
+                                         rel=1e-12)
+    assert d_m.shape == (3, 1)
+    assert d_m.ravel().tolist() == pytest.approx(w.sum(axis=1).tolist(),
+                                                 rel=1e-12)
+
+
+def test_add_records_one_node_and_no_constants():
+    g = ad.Graph()
+    a, b = g.leaf(1.0), g.leaf(np.arange(3.0))
+    out = ad.add(a, 2.0, np.ones(3), b)
+    assert len(g) == 3 and out.i == 2
+    assert g.nodes[out.i][1] == (a.i, b.i)
+    assert out.val.tolist() == [4.0, 5.0, 6.0]
+    floats = ad.add(1.0, np.ones(2))  # no Var: a value, no node
+    assert type(floats) is np.ndarray and floats.tolist() == [2.0, 2.0]
+    assert len(g) == 3

@@ -294,16 +294,21 @@ def test_density_partials_on_arrays_match_central_differences(
 
 
 def test_dirichlet_float_path_keeps_the_composed_bits():
+    # the log-gammas of a constant concentration are computed once per
+    # distinct value: each value, a per-row one too, keeps the composed
+    # bits, also when it comes back after another
     rng = np.random.default_rng(4)
     x = _simplex_rows(rng, (2, 3, 4))
-    alpha = rng.uniform(0.5, 4.0, 4)
+    alphas = [rng.uniform(0.5, 4.0, 4), rng.uniform(0.5, 4.0, 4),
+              rng.uniform(0.5, 4.0, (3, 4))]
     lgamma = np.vectorize(math.lgamma)
-    expected = (np.sum((alpha - 1.0) * np.log(x), axis=-1)
-                - np.sum(lgamma(alpha), axis=-1)
-                + math.lgamma(np.sum(alpha, axis=-1)))
-    assert dens.dirichlet(x, alpha).tobytes() == expected.tobytes()
-    taped = dens.dirichlet(ad.Graph().leaf(x), alpha)
-    assert taped.val.tobytes() == expected.tobytes()
+    for alpha in alphas + alphas:
+        expected = (np.sum((alpha - 1.0) * np.log(x), axis=-1)
+                    - np.sum(lgamma(alpha), axis=-1)
+                    + lgamma(np.sum(alpha, axis=-1)))
+        assert dens.dirichlet(x, alpha).tobytes() == expected.tobytes()
+        taped = dens.dirichlet(ad.Graph().leaf(x), alpha)
+        assert taped.val.tobytes() == expected.tobytes()
 
 
 def test_domain_errors_name_the_distribution():

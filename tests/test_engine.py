@@ -219,6 +219,96 @@ class TestEstimateElbo:
             assert at_opt >= perturbed
 
 
+def _entropy(p):
+    return (0.5 * p.dim * (1.0 + math.log(2.0 * math.pi))
+            + float(np.sum(p.omega)))
+
+
+@pytest.mark.parametrize("pairs", ["1", "3N"])
+@pytest.mark.parametrize("n_samples", [1, 3, 100])
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_estimate_is_the_fsum_of_per_draw_joints(name, n_samples, pairs,
+                                                 monkeypatch):
+    # the estimate scores the transforms and the prior once per block of
+    # draws, then the likelihood a chunk per call: every draw keeps the
+    # bits of its own joint, at one draw per call and at three
+    model, data = small_zoo_instance(name)
+    n = model.num_observations(data)
+    monkeypatch.setattr(model_module, "_PAIRS_PER_CALL",
+                        1 if pairs == "1" else 3 * n)
+    gen = np.random.default_rng(4)
+    p = VariationalParams(gen.normal(0.0, 0.5, model.dim),
+                          gen.normal(-0.5, 0.3, model.dim))
+    zetas = inverse_standardize(p, np.random.default_rng(9).standard_normal(
+        (n_samples, model.dim)))
+    joints = [log_joint_unconstrained(model, data, z) for z in zetas]
+    expected = math.fsum(joints) / n_samples + _entropy(p)
+    assert float(estimate_elbo(model, data, p, n_samples, 9)).hex() == \
+        float(expected).hex()
+
+
+def test_a_prior_constant_over_a_block_of_draws_is_each_draws():
+    model = ModelDefinition(
+        name="flat_prior", blocks=(BlockSpec("z", Identity(1), scalar=True),),
+        log_prior=lambda v, data: 0.0,
+        loglik_term=lambda v, data, idx: dens.normal(
+            data["x"][idx], zoo._each_point(v["z"]), 1.0),
+        num_observations=lambda data: len(data["x"]))
+    data = Dataset({"x": [0.5, -1.0, 2.0]})
+    p = VariationalParams([0.3], [-0.2])
+    zetas = inverse_standardize(
+        p, np.random.default_rng(1).standard_normal((8, 1)))
+    joints = [log_joint_unconstrained(model, data, z) for z in zetas]
+    assert estimate_elbo(model, data, p, 8, 1) == \
+        math.fsum(joints) / 8 + _entropy(p)
+
+
+@pytest.mark.parametrize("part", ["prior", "likelihood"])
+def test_a_draw_out_of_the_domain_is_dropped_alone(part, monkeypatch):
+    # blocks of 40 draws, the likelihood 4 draws a call: the one draw at
+    # or above the limit takes its block (or chunk) down, and is the only
+    # draw dropped when the block is rerun draw by draw
+    monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 40)
+    data = Dataset({"x": np.linspace(-1.0, 2.0, 10)})
+    limit = [math.inf]
+
+    def check(z):
+        if np.any(ad.value(z) >= limit[0]):
+            raise DomainError("z at or above the limit")
+
+    def log_prior(v, data):
+        if part == "prior":
+            check(v["z"])
+        return dens.normal(v["z"], 0.0, 1.0)
+
+    def loglik(v, data, idx):
+        if part == "likelihood":
+            check(v["z"])
+        return dens.normal(data["x"][idx], zoo._each_point(v["z"]), 1.0)
+
+    model = ModelDefinition(
+        name="bounded", blocks=(BlockSpec("z", Identity(1), scalar=True),),
+        log_prior=log_prior, loglik_term=loglik,
+        num_observations=lambda data: len(data["x"]))
+    cfg = FitConfig(max_iterations=1, eval_interval=1, elbo_samples=100,
+                    seed=2)
+    params, trace = fit(model, data, cfg)
+    assert trace.elbo_draws_dropped == 0
+    zetas = inverse_standardize(params, substream(
+        2, engine.STREAM_ELBO, 0).standard_normal((100, 1)))
+    limit[0] = zetas.max()
+    again, trace = fit(model, data, cfg)
+    assert (again.mu.tolist(), again.omega.tolist()) == \
+        (params.mu.tolist(), params.omega.tolist())
+    assert trace.gradient_redraws == 0
+    assert trace.elbo_draws_dropped == 1
+    kept = [log_joint_unconstrained(model, data, z)
+            for z in zetas if z[0] < limit[0]]
+    assert len(kept) == 99
+    expected = math.fsum(kept) / 99 + _entropy(params)
+    assert float(trace.rows[0][2]).hex() == float(expected).hex()
+
+
 # estimate_elbo(model, data, p, 50, 5) and the mean held-out score of
 # draw_posterior(model, p, 30, substream(0, 500)) on a model's own small
 # instance, p drawn from default_rng(3), as float.hex. Both run on the

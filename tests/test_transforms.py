@@ -419,6 +419,12 @@ def test_simplex_partials_match_central_differences(size, saturated):
             assert abs(gv - fv) <= 1e-6 * max(1.0, abs(fv)), (pick, gv, fv)
 
 
+def test_stick_offsets_are_built_once_per_size_and_read_only():
+    offsets = tr._stick_offsets(5)
+    assert offsets is tr._stick_offsets(5) and not offsets.flags.writeable
+    assert offsets.tolist() == np.log([4.0, 3.0, 2.0, 1.0]).tolist()
+
+
 def test_simplex_is_two_tape_nodes():
     g = ad.Graph()
     leaf = g.leaf(np.zeros((2, 3, 4)))
