@@ -22,11 +22,16 @@ integer-array lookups included, and :func:`take` along an axis),
 constant: it is captured inside the node that uses it and never becomes a
 node of its own.
 
-Each primitive is defined once. Given no Var operand it computes the value
-with numpy and records nothing, which is the tape-free path of objective
-estimates and held-out scoring. Given Vars it appends one node through
-``Graph._push``, with a function that maps the node's adjoint to those of
-its Var operands, summed over the axes broadcasting added.
+Each primitive is defined once and records by one of two rules. A value
+primitive (arithmetic, the elementwise functions, :func:`log_sum_exp`,
+:func:`cumsum`, :func:`concat`, :func:`stack`, and the densities and
+transforms built on it) computes its value with numpy and hands it with
+closed-form partials to :func:`node`. Given no Var operand, ``node``
+returns the value and records nothing, which is the tape-free path of
+objective estimates and held-out scoring; given Vars it appends one node.
+The structural operations on every tape's hot path, indexing,
+``Var.reshape`` and :func:`sum`, push their own vjp through
+``Graph._push``, without ``node``'s operand loop and unbroadcasting.
 """
 
 from __future__ import annotations
@@ -141,7 +146,6 @@ class Var:
     def shape(self) -> tuple:
         return getattr(self.val, "shape", ())  # a Python float has none
 
-
     def __getitem__(self, key):
         x = self.val
         # an integer-array index may repeat an element; a basic one cannot
@@ -193,7 +197,7 @@ class Var:
         return _div(other, self)
 
     def __neg__(self):
-        return self.graph._push((self.i,), -self.val, lambda g: (-g,))
+        return node((self,), -self.val, (np.negative,))
 
 
 def value(x):
@@ -265,19 +269,20 @@ def node(operands: Sequence, out, partials: Sequence):
     how a density over a whole array becomes one node with closed-form
     partials.
     """
-    graph = None
+    for x in operands:
+        if type(x) is Var:
+            graph = x.graph
+            break
+    else:
+        return out  # no Var: the float path, which records nothing
     parents = []
     rules = []
     for x, partial in zip(operands, partials):
         if type(x) is Var:
-            if graph is None:
-                graph = x.graph
-            elif x.graph is not graph:
+            if x.graph is not graph:
                 raise ValueError("operands belong to different graphs")
             parents.append(x.i)
             rules.append((partial, x.val))
-    if graph is None:
-        return out
     return graph._push(tuple(parents), out,
                        lambda g: [_unbroadcast(d(g), v) for d, v in rules])
 
@@ -318,19 +323,10 @@ def _same(g):
 
 
 # -- elementwise functions ----------------------------------------------------
-#
-# A unary primitive tests ``type(x) is Var`` once: a Var operand appends a
-# node to its graph, anything else is computed directly.
-
-def _unary(x, out, partial):
-    return x.graph._push((x.i,), out, lambda g: (partial(g),))
-
 
 def exp(x):
-    if type(x) is not Var:
-        return np.exp(x)
-    out = np.exp(x.val)
-    return _unary(x, out, lambda g: g * out)
+    out = np.exp(value(x))
+    return node((x,), out, (lambda g: g * out,))
 
 
 def _check_positive(op, v):
@@ -341,48 +337,34 @@ def _check_positive(op, v):
 def log(x):
     v = value(x)
     _check_positive("log", v)
-    if type(x) is not Var:
-        return np.log(v)
-    return _unary(x, np.log(v), lambda g: g / v)
+    return node((x,), np.log(v), (lambda g: g / v,))
 
 
 def sqrt(x):
     v = value(x)
     if _any(v < 0.0):
         raise DomainError(f"sqrt: argument must be >= 0, got {np.min(v)}")
-    if type(x) is not Var:
-        return np.sqrt(v)
     out = np.sqrt(v)
-    return _unary(x, out, lambda g: 0.5 * g / out)
-
-
-def _logistic(v):
-    # branch-wise so neither side overflows: 1/(1+e^-v) or e^v/(1+e^v)
-    e = np.exp(-np.abs(v))
-    out = np.where(np.greater_equal(v, 0.0), 1.0 / (1.0 + e), e / (1.0 + e))
-    return out[()]
+    return node((x,), out, (lambda g: 0.5 * g / out,))
 
 
 def logistic(x):
-    if type(x) is not Var:
-        return _logistic(x)
-    out = _logistic(x.val)
-    return _unary(x, out, lambda g: g * out * (1.0 - out))
-
-
-def _softplus(v):
-    # max(v, 0) + log1p(exp(-|v|)) is np.logaddexp(0, v)'s formula on
-    # ufuncs that have SIMD loops, which logaddexp lacks; both are
-    # faithfully rounded, so they differ by at most 2 ulps
-    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+    v = value(x)
+    # branch-wise so neither side overflows: 1/(1+e^-v) or e^v/(1+e^v)
+    e = np.exp(-np.abs(v))
+    out = np.where(np.greater_equal(v, 0.0), 1.0 / (1.0 + e),
+                   e / (1.0 + e))[()]
+    return node((x,), out, (lambda g: g * out * (1.0 - out),))
 
 
 def softplus(x):
     """log(1 + exp(x)) without overflow."""
-    if type(x) is not Var:
-        return _softplus(x)
-    v = x.val
-    return _unary(x, _softplus(v), lambda g: g * _logistic(v))
+    v = value(x)
+    # max(v, 0) + log1p(exp(-|v|)) is np.logaddexp(0, v)'s formula on
+    # ufuncs that have SIMD loops, which logaddexp lacks; both are
+    # faithfully rounded, so they differ by at most 2 ulps
+    out = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+    return node((x,), out, (lambda g: g * logistic(v),))
 
 
 def _lgamma1(v: float) -> float:
@@ -390,15 +372,6 @@ def _lgamma1(v: float) -> float:
         return math.lgamma(v)
     except OverflowError:
         return math.inf
-
-
-def _lgamma(v):
-    # math.lgamma per element: data and hyperparameter constants take this
-    # path too, and it keeps scipy out of the import
-    _check_positive("log_gamma", v)
-    if not getattr(v, "shape", ()):
-        return _lgamma1(float(v))
-    return np.array([_lgamma1(t) for t in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _digamma(v):
@@ -410,10 +383,16 @@ def _digamma(v):
 
 
 def log_gamma(x):
-    if type(x) is not Var:
-        return _lgamma(x)
-    v = x.val
-    return _unary(x, _lgamma(v), lambda g: g * _digamma(v))
+    v = value(x)
+    _check_positive("log_gamma", v)
+    # math.lgamma per element: data and hyperparameter constants take this
+    # path too, and it keeps scipy out of the import
+    if getattr(v, "shape", ()):
+        out = np.array([_lgamma1(t) for t in v.ravel().tolist()])
+        out = out.reshape(v.shape)
+    else:
+        out = _lgamma1(float(v))
+    return node((x,), out, (lambda g: g * _digamma(v),))
 
 
 # -- reductions and structure -------------------------------------------------
@@ -450,31 +429,25 @@ def _kept(shape: tuple, axis) -> tuple:
     return tuple(keep)
 
 
-def _lse(v, axis):
+def log_sum_exp(x, axis=-1):
+    """Overflow-safe log(sum(exp(x))) over ``axis``; ``x`` may also be a
+    sequence of scalars and Vars."""
+    x = as_array(x)
+    v = value(x)
     top = np.max(v, axis=axis, keepdims=True)
     # a non-finite maximum (-inf, +inf or nan) dominates the sum: shifting
     # by 0 instead keeps it as the result
     top = np.where(np.isfinite(top), top, 0.0)
     out = np.log(np.sum(np.exp(v - top), axis=axis, keepdims=True)) + top
-    return np.squeeze(out, axis=axis)[()]
+    out = np.squeeze(out, axis=axis)[()]
 
-
-def log_sum_exp(x, axis=-1):
-    """Overflow-safe log(sum(exp(x))) over ``axis``; ``x`` may also be a
-    sequence of scalars and Vars."""
-    x = as_array(x)
-    if type(x) is not Var:
-        return _lse(x, axis)
-    v = x.val
-    out = _lse(v, axis)
-    keep = _kept(v.shape, axis)
-
-    def vjp(g):
+    def partial(g):
+        keep = _kept(v.shape, axis)
         o = out.reshape(keep)
         w = np.where(np.isfinite(o), np.exp(v - o), 0.0)
-        return (np.asarray(g).reshape(keep) * w,)
+        return np.asarray(g).reshape(keep) * w
 
-    return x.graph._push((x.i,), out, vjp)
+    return node((x,), out, (partial,))
 
 
 def take(x, idx, axis=-1):
@@ -496,13 +469,10 @@ def take(x, idx, axis=-1):
 
 
 def cumsum(x, axis=-1):
-    if type(x) is not Var:
-        return np.cumsum(x, axis=axis)
+    def partial(g):
+        return np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)
 
-    def vjp(g):
-        return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
-
-    return x.graph._push((x.i,), np.cumsum(x.val, axis=axis), vjp)
+    return node((x,), np.cumsum(value(x), axis=axis), (partial,))
 
 
 def concat(xs: Sequence, axis=-1):

@@ -9,7 +9,8 @@ ascent step; the stepsize uses the summed squared gradients of a sliding
 window (finite-memory variant of the accumulate-everything schedule). Its
 offset (1) and window (10 steps) are fixed, as in ADVI. Objective
 estimates take no tape: they map and score the prior of a whole block of
-draws in one call, then the likelihood a chunk of draws per call.
+draws in one call (``model._prior_part``, the part of ``_joint`` before the
+likelihood), then the likelihood a chunk of draws per call.
 
 Every generator comes from :func:`substream`, at a named position
 `(seed, kind, iteration[, sample])`, so a draw does not depend on the
@@ -44,7 +45,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
 from .model import Dataset, ModelDefinition, _batch_index, _joint, \
-    constrain_blocks, draw_chunks
+    _prior_part, constrain_blocks, draw_chunks
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -237,11 +238,6 @@ def _elbo_and_drops(model, data, params, n_samples, rng, idx):
     # one value per draw; NaN marks a draw out of the domain
     joints = np.full(n_samples, math.nan)
 
-    def prior(key):  # the values at draws ``key`` and _joint's prior part
-        values, log_det = constrain_blocks(model, zetas[key])
-        out = model.log_prior(values, data)
-        return values, out if log_det is None else out + log_det
-
     def likelihood(values):
         return ad.sum(model.loglik_term(values, data, idx), -1)
 
@@ -250,7 +246,9 @@ def _elbo_and_drops(model, data, params, n_samples, rng, idx):
         # one (S, dim) draw holds the same numbers as S draws of dim
         zetas = inverse_standardize(
             params, gen.standard_normal((n_samples, params.dim)))
-        for key, head in draw_chunks(prior, n_samples, 1):
+        for key, head in draw_chunks(
+                lambda k: _prior_part(model, data, zetas[k]),
+                n_samples, 1):
             if head is None:
                 continue
             values, out = head
@@ -285,10 +283,11 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     Averages the transformed log joint over draws from the current
     approximation and adds the Gaussian entropy in closed form. The draws
     are taken and standardized as one ``(n_samples, dim)`` array. The
-    transforms, log-det and prior are evaluated once per block of draws,
-    then the likelihood a chunk of the block's draws per call (both
-    through :func:`model.draw_chunks`); each draw's joint, (prior +
-    log-det) + likelihood, has the bits of that draw's joint alone. A
+    joint's prior part (``model._prior_part``: values, then log prior +
+    log-det) is evaluated once per block of draws, then the likelihood a
+    chunk of the block's draws per call (both through
+    :func:`model.draw_chunks`); each draw's joint, the prior part +
+    likelihood, has the bits of that draw's joint alone. A
     draw out of domain on its own or with a non-finite joint is dropped
     (fit counts them in ``ElboTrace.elbo_draws_dropped``); if every draw
     fails, raises :class:`EvaluationFailure`.

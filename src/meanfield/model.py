@@ -19,8 +19,9 @@ returns one term per index; with an int ``idx`` it returns that single
 term. The likelihood is the sum of those terms, so
 :func:`minibatch_log_joint` can subsample any model. Both call one joint,
 ``_joint(model, data, zeta, idx, scale)``, which the engine's gradient
-tapes call directly; its objective estimates add the same parts in the
-same order, the prior of a block of draws at once.
+tapes call directly. ``_joint`` adds the likelihood to
+``_prior_part(model, data, zeta)``, the values and their log prior +
+log-det, which objective estimates call on a block of draws at once.
 
 Values may carry leading draw axes, one draw per index, on the tape-free
 float path and on the tape alike: :func:`constrain_blocks` carries them
@@ -264,13 +265,18 @@ def constrain_blocks(model: ModelDefinition, zeta):
     return values, log_det
 
 
+def _prior_part(model, data, zeta):
+    """The values at ``zeta`` and the joint's prior part, log prior +
+    log-det."""
+    values, log_det = constrain_blocks(model, zeta)
+    out = model.log_prior(values, data)
+    return values, out if log_det is None else out + log_det
+
+
 def _joint(model, data, zeta, idx, scale):
     """The joint at ``zeta`` over the observations ``idx`` (a 1-D index
     array), the likelihood scaled by ``scale`` unless it is None."""
-    values, log_det = constrain_blocks(model, zeta)
-    out = model.log_prior(values, data)
-    if log_det is not None:
-        out = out + log_det
+    values, out = _prior_part(model, data, zeta)
     if len(idx):
         lik = ad.sum(model.loglik_term(values, data, idx), -1)
         if scale is not None:

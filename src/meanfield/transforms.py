@@ -253,12 +253,13 @@ def check_value(kind: TransformKind, theta) -> None:
     """Raise :class:`DomainError` unless ``theta`` is finite and lies
     strictly inside the support of ``kind`` (boundaries are rejected).
 
-    ``theta`` has the kind's constrained dimension as its last axis;
-    leading axes are rows, each checked on its own.
+    ``theta`` has the kind's constrained dimension as its last axis, or is
+    a bare scalar for a 1-dim kind; leading axes are rows, each checked on
+    its own.
     """
-    theta = np.asarray(theta, dtype=float)
-    _check_len(kind, theta.shape[-1] if theta.ndim else None,
-               constrained_dim(kind))
+    dim = constrained_dim(kind)
+    theta = np.array(theta, dtype=float, ndmin=int(dim == 1))
+    _check_len(kind, theta.shape[-1] if theta.ndim else None, dim)
     _require(kind, np.isfinite(theta), theta, "value {} not finite")
     if isinstance(kind, Identity):
         return
@@ -287,9 +288,10 @@ def check_value(kind: TransformKind, theta) -> None:
 def unconstrain(kind: TransformKind, theta) -> list[float]:
     """Invert :func:`constrain` for strictly in-support float values.
 
-    ``theta`` has the kind's constrained dimension as its last axis;
-    leading axes are rows. Returns the unconstrained coordinates as one
-    flat list, row after row: the packed layout of a block.
+    ``theta`` has the kind's constrained dimension as its last axis, or is
+    a bare scalar for a 1-dim kind; leading axes are rows. Returns the
+    unconstrained coordinates as one flat list, row after row: the packed
+    layout of a block.
     """
     theta = np.asarray(theta, dtype=float)
     check_value(kind, theta)

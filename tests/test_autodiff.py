@@ -1,3 +1,4 @@
+import ast
 import decimal
 import math
 import os
@@ -364,3 +365,74 @@ def test_add_records_one_node_and_no_constants():
     floats = ad.add(1.0, np.ones(2))  # no Var: a value, no node
     assert type(floats) is np.ndarray and floats.tolist() == [2.0, 2.0]
     assert len(g) == 3
+
+
+# Each value primitive: the numpy expression its float path computes (on
+# the positive inputs below), and the type it returns for each of
+# _FLOAT_INPUTS. Unary minus on a value that is not a Var is numpy's own.
+_FLOAT_INPUTS = {"numpy_scalar": np.float64(0.7), "0d": np.array(0.7),
+                 "array": np.array([0.3, 1.7, 2.9])}
+_F64, _ARRAY = np.float64, np.ndarray
+_VALUE_PRIMITIVES = {
+    "exp": (ad.exp, np.exp, (_F64, _F64, _ARRAY)),
+    "log": (ad.log, np.log, (_F64, _F64, _ARRAY)),
+    "sqrt": (ad.sqrt, np.sqrt, (_F64, _F64, _ARRAY)),
+    "logistic": (ad.logistic, lambda v: 1.0 / (1.0 + np.exp(-v)),
+                 (_F64, _F64, _ARRAY)),
+    "softplus": (ad.softplus, lambda v: v + np.log1p(np.exp(-v)),
+                 (_F64, _F64, _ARRAY)),
+    "log_gamma": (ad.log_gamma,
+                  lambda v: np.reshape([math.lgamma(t) for t in
+                                        np.ravel(v).tolist()], np.shape(v)),
+                  (float, float, _ARRAY)),
+    "log_sum_exp": (ad.log_sum_exp,
+                    lambda v: np.log(np.sum(np.exp(v - np.max(v, -1)), -1))
+                    + np.max(v, -1),
+                    (_F64, _F64, _F64)),
+    "cumsum": (ad.cumsum, lambda v: np.cumsum(v, -1),
+               (_ARRAY, _ARRAY, _ARRAY)),
+    "neg": (lambda x: -x, np.negative, (_F64, _F64, _ARRAY)),
+}
+
+
+def _same_bits(a, b):
+    return (np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@pytest.mark.parametrize("name", _VALUE_PRIMITIVES)
+def test_value_primitive_records_one_node_with_the_float_paths_bits(name):
+    f, numpy_expr, types = _VALUE_PRIMITIVES[name]
+    for x, want_type in zip(_FLOAT_INPUTS.values(), types):
+        got = f(x)  # no Var: a value of the same type, and no node
+        assert type(got) is want_type, (x, type(got))
+        assert _same_bits(got, numpy_expr(x)), x
+    leaves = [np.array([0.3, 1.7, 2.9]), np.array([[0.3, 1.7], [2.9, 0.5]])]
+    if name not in ("log_sum_exp", "cumsum"):  # these need an axis
+        leaves.insert(0, 0.7)
+    for x in leaves:
+        g = ad.Graph()
+        leaf = g.leaf(x)
+        out = f(leaf)
+        assert len(g) == 2 and out.i == 1 and g.nodes[1][1] == (leaf.i,)
+        want = f(leaf.val)
+        assert type(out.val) is type(want) and _same_bits(out.val, want)
+
+
+# the only code that may append to a tape without ad.node: a leaf, node
+# itself, and the structural operations on every tape's hot path
+_PUSHERS = {"Graph.leaf", "node", "Var.__getitem__", "Var.reshape", "sum"}
+
+
+def test_only_leaf_node_and_structural_operations_use_push():
+    tree = ast.parse(Path(ad.__file__).read_text())
+    defs = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            defs += [(f"{stmt.name}.{d.name}", d) for d in stmt.body
+                     if isinstance(d, ast.FunctionDef)]
+        elif isinstance(stmt, ast.FunctionDef):
+            defs.append((stmt.name, stmt))
+    users = {name for name, d in defs for n in ast.walk(d)
+             if isinstance(n, ast.Attribute) and n.attr == "_push"}
+    assert users == _PUSHERS

@@ -313,6 +313,25 @@ def test_tape_nodes_per_gradient(name):
     assert len(g) == _TAPE_NODES[name]
 
 
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_every_block_value_unconstrains_to_its_coordinates(name):
+    # a scalar block's value is 0-d, and unconstrain takes it as it is
+    model, _ = _small_instance(name)
+    zeta = np.random.default_rng(8).normal(0.0, 1.0, model.dim)
+    values, _ = constrain_blocks(model, zeta)
+    at = 0
+    for b in model.blocks:
+        value = values[b.name]
+        if b.scalar:
+            assert np.ndim(value) == 0
+        tr.check_value(b.kind, value)
+        back = tr.unconstrain(b.kind, value)
+        assert back == pytest.approx(
+            zeta[at:at + b.unconstrained_size].tolist(), abs=1e-12), b.name
+        at += b.unconstrained_size
+    assert at == model.dim
+
+
 _MIXED_BLOCKS = (
     BlockSpec("a", LowerBound(0.0), scalar=True),
     BlockSpec("b", LowerBound(0.0, 2), rows=3),  # one run with a

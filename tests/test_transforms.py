@@ -336,6 +336,17 @@ def test_shape_errors():
         tr.unconstrain(tr.LowerBound(0.0, 2), [1.0])
 
 
+def test_a_bare_scalar_is_one_component_of_a_one_dim_kind_only():
+    tr.check_value(tr.LowerBound(0.0), 2.0)
+    assert tr.unconstrain(tr.LowerBound(0.0), np.array(math.e)) == [1.0]
+    assert tr.unconstrain(tr.Interval(0.0, 2.0), np.float64(1.0)) == [0.0]
+    for kind in (tr.LowerBound(0.0, 2), tr.Simplex(2), tr.Ordered(2)):
+        with pytest.raises(ShapeError, match="got None"):
+            tr.check_value(kind, 0.5)
+        with pytest.raises(ShapeError, match="got None"):
+            tr.unconstrain(kind, np.array(0.5))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-8, 8), min_size=2, max_size=4))
 def test_simplex_round_trip_property(zeta):
