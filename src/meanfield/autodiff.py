@@ -104,7 +104,8 @@ class Graph:
         value = np.array(value, dtype=float)
         if np.count_nonzero(np.isfinite(value)) != value.size:
             raise DomainError(f"leaf value must be finite, got {value!r}")
-        return self._push((), float(value) if value.ndim == 0 else value, None)
+        # a 0-d value as a numpy scalar, which has a shape and reshapes
+        return self._push((), value if value.ndim else value[()], None)
 
     # -- reverse sweep --------------------------------------------------
 
@@ -403,9 +404,9 @@ def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
     if type(x) is not Var:
         return np.add.reduce(x, axis=axis)
     src = x.shape
-    if axis is not None and len(src) == (
+    if axis is not None and len(src) <= (
             len(axis) if type(axis) is tuple else 1):
-        axis = None  # the axes cover x: record the cheaper vjp of a total
+        axis = None  # the axes cover x (or x is 0-d): the vjp of a total
     keep = None if axis is None else _kept(src, axis)
 
     def vjp(g):
@@ -442,7 +443,7 @@ def log_sum_exp(x, axis=-1):
     out = np.squeeze(out, axis=axis)[()]
 
     def partial(g):
-        keep = _kept(v.shape, axis)
+        keep = _kept(v.shape, axis) if np.ndim(v) else ()  # 0-d: the value
         o = out.reshape(keep)
         w = np.where(np.isfinite(o), np.exp(v - o), 0.0)
         return np.asarray(g).reshape(keep) * w

@@ -8,8 +8,8 @@ draws, with the draws on a leading axis), and takes an adaptive-stepsize
 ascent step; the stepsize uses the summed squared gradients of a sliding
 window (finite-memory variant of the accumulate-everything schedule). Its
 offset (1) and window (10 steps) are fixed, as in ADVI. Objective
-estimates take no tape: they map and score the prior of a whole block of
-draws in one call (``model._prior_part``, the part of ``_joint`` before the
+estimates take no tape: they map and score the prior of all their draws in
+one call (``model._prior_part``, the part of ``_joint`` before the
 likelihood), then the likelihood a chunk of draws per call.
 
 Every generator comes from :func:`substream`, at a named position
@@ -237,37 +237,25 @@ def _elbo_and_drops(model, data, params, n_samples, rng, idx):
     gen = _generator(rng)
     # one value per draw; NaN marks a draw out of the domain
     joints = np.full(n_samples, math.nan)
-
-    def likelihood(values):
-        return ad.sum(model.loglik_term(values, data, idx), -1)
-
     # a wild draw may overflow: it is dropped, not reported as a warning
     with np.errstate(all="ignore"):
         # one (S, dim) draw holds the same numbers as S draws of dim
         zetas = inverse_standardize(
             params, gen.standard_normal((n_samples, params.dim)))
-        for key, head in draw_chunks(
-                lambda k: _prior_part(model, data, zetas[k]),
-                n_samples, 1):
-            if head is None:
-                continue
-            values, out = head
-            if not len(idx):
-                joints[key] = out
-            elif type(key) is slice:
-                # the block's likelihood, a chunk of its draws per call
-                block = joints[key]
-                out = np.broadcast_to(out, block.shape)  # a constant prior
-                for k, lik in draw_chunks(lambda k: likelihood(
-                        {name: v[k] for name, v in values.items()}),
-                        len(block), len(idx)):
-                    if lik is not None:
-                        block[k] = out[k] + lik
-            else:
+        try:
+            values, joints[:] = _prior_part(model, data, zetas)
+        except DomainError:  # score each draw alone; drop those that raise
+            for s, zeta in enumerate(zetas):
                 try:
-                    joints[key] = out + likelihood(values)
+                    joints[s] = _joint(model, data, zeta, idx, None)
                 except DomainError:
                     pass
+        else:  # a constant prior broadcasts; the likelihood is chunked
+            chunks = draw_chunks(lambda k: ad.sum(model.loglik_term(
+                {name: v[k] for name, v in values.items()}, data, idx), -1),
+                n_samples, len(idx)) if len(idx) else ()
+            for k, lik in chunks:
+                joints[k] = math.nan if lik is None else joints[k] + lik
     kept = joints[np.isfinite(joints)].tolist()
     if not kept:
         raise EvaluationFailure(
@@ -284,13 +272,14 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     approximation and adds the Gaussian entropy in closed form. The draws
     are taken and standardized as one ``(n_samples, dim)`` array. The
     joint's prior part (``model._prior_part``: values, then log prior +
-    log-det) is evaluated once per block of draws, then the likelihood a
-    chunk of the block's draws per call (both through
-    :func:`model.draw_chunks`); each draw's joint, the prior part +
-    likelihood, has the bits of that draw's joint alone. A
-    draw out of domain on its own or with a non-finite joint is dropped
-    (fit counts them in ``ElboTrace.elbo_draws_dropped``); if every draw
-    fails, raises :class:`EvaluationFailure`.
+    log-det) is evaluated once for all of them, then the likelihood a
+    chunk of draws per call (:func:`model.draw_chunks`); each draw's
+    joint, the prior part + likelihood, has the bits of that draw's joint
+    alone. If the prior part raises :class:`DomainError`, each draw's
+    joint is evaluated alone. A draw out of domain on its own or with a
+    non-finite joint is dropped (fit counts them in
+    ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
+    :class:`EvaluationFailure`.
     """
     idx = np.arange(model.num_observations(data))
     return _elbo_and_drops(model, data, params, n_samples, rng, idx)[0]

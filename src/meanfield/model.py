@@ -21,23 +21,24 @@ term. The likelihood is the sum of those terms, so
 ``_joint(model, data, zeta, idx, scale)``, which the engine's gradient
 tapes call directly. ``_joint`` adds the likelihood to
 ``_prior_part(model, data, zeta)``, the values and their log prior +
-log-det, which objective estimates call on a block of draws at once.
+log-det, which objective estimates call on all their draws at once.
 
 Values may carry leading draw axes, one draw per index, on the tape-free
 float path and on the tape alike: :func:`constrain_blocks` carries them
 from the rows of ``zeta`` into every value and returns the log-det per
 draw, ``log_prior`` returns one value per draw, ``loglik_term`` returns
 shape ``(..., len(idx))``, and the joint sums the likelihood over the
-last axis. Objective estimates, held-out scoring and the gradient draws
-of an iteration evaluate draws that way, a chunk per call
-(:func:`draw_chunks`; a chunk of gradient draws is one tape, whose sweep
-gives each draw its own gradient because no operation mixes draws); a
-chunk of one draw has no draw axis. A :class:`DomainError` from a call
-concerns the draws of the call: a chunk that raises is rerun one draw at
-a time, and a draw that raises alone is out of the domain (the engine
-drops or redraws it, held-out scoring gives it log 0); a point the draw
-gives zero probability scores -inf; data outside the likelihood's
-support raises :class:`ShapeError`.
+last axis. Objective estimates score the prior of all their draws in one
+call; their likelihood, held-out scoring and the gradient draws of an
+iteration take a chunk of draws per call (:func:`draw_chunks`; a chunk
+of gradient draws is one tape, whose sweep gives each draw its own
+gradient because no operation mixes draws); a chunk of one draw has no
+draw axis. A :class:`DomainError` from a call concerns the draws of the
+call: a call that raises is rerun one draw at a time (each draw's whole
+joint, for an estimate's prior), and a draw that raises alone is out of
+the domain (the engine drops or redraws it, held-out scoring gives it
+log 0); a point the draw gives zero probability scores -inf; data
+outside the likelihood's support raises :class:`ShapeError`.
 
 A :class:`Dataset` checks and converts each entry to a numpy array once,
 when it is built, whether it comes from JSON or from code, and holds only

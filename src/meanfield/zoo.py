@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import replace
 from typing import Mapping
 
@@ -309,9 +310,16 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
     (missing ones fall back to defaults where a default exists); each
     must be an integer >= 1 (an integral float such as 3.0 is taken).
     ``hyperparams`` overrides prior settings, each finite and > 0.
-    Unknown names in either mapping are rejected, and so is a dimension
-    the model's transform kinds cannot take (K = 1 for a simplex).
+    Unknown names in either mapping are rejected, and so are a value
+    that is not a number (a bool or a string, say) and a dimension the
+    model's transform kinds cannot take (K = 1 for a simplex).
     """
+    def number(what, value):  # float() takes True as 1.0 and "3" as 3.0
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(
+                f"model {name}: {what} must be a number, got {value!r}")
+        return float(value)
+
     builder, _ = _entry(name)
     hypers, dim_defaults = _settings(builder)
     for key, value in (hyperparams or {}).items():
@@ -319,7 +327,7 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
             raise ConfigurationError(
                 f"model {name}: unknown hyperparameter {key!r}; "
                 f"accepts {sorted(hypers) or 'none'}")
-        value = float(value)
+        value = number(f"hyperparameter {key}", value)
         # every zoo hyperparameter is a scale, rate, shape or concentration
         if not 0.0 < value < math.inf:
             raise ConfigurationError(
@@ -333,7 +341,7 @@ def make_model(name: str, hyperparams: Mapping[str, float] | None = None,
             raise ConfigurationError(
                 f"model {name}: unknown dimension {key!r}; "
                 f"accepts {list(dim_defaults) or 'none'}")
-        if not float(value).is_integer():
+        if not number(f"dimension {key}", value).is_integer():
             raise ConfigurationError(
                 f"model {name}: dimension {key} must be an integer, "
                 f"got {value}")

@@ -436,3 +436,18 @@ def test_only_leaf_node_and_structural_operations_use_push():
     users = {name for name, d in defs for n in ast.walk(d)
              if isinstance(n, ast.Attribute) and n.attr == "_push"}
     assert users == _PUSHERS
+
+
+@pytest.mark.parametrize("op, grad", [
+    (lambda x: x.reshape((1,)), 1.0),
+    (lambda x: ad.sum(x, -1), 1.0),
+    (lambda x: ad.dot(x, x), 1.4),
+    (ad.log_sum_exp, 1.0),
+])
+def test_a_scalar_leaf_takes_what_a_float_takes(op, grad):
+    # a 0-d tape value reshapes, sums over an axis and sweeps through
+    # log_sum_exp as the float path's 0.7 does
+    x = ad.Graph().leaf(0.7)
+    out = op(x)
+    assert _same_bits(out.val, op(np.float64(0.7)))
+    assert ad.gradient(out, [x]) == [grad]

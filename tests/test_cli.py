@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from meanfield import cli, zoo
 from meanfield.cli import main
+from util import small_zoo_instance
 
 
 @pytest.fixture
@@ -305,3 +307,46 @@ def test_training_data_the_model_cannot_take_exits_2_before_fitting(
     assert f"{tmp_path / 'train.json'}: data is not shape-compatible " \
            f"with model {model}" in err
 
+
+# SHA-256 prefixes of (samples.csv, trace.csv) from a short CLI run on
+# each model's small instance. A change that moves output bits edits this
+# table and says so in CHANGES.md.
+_OUTPUT_BITS = {
+    "poisson_exponential": ("8ea26aad", "68ac44f4"),
+    "linreg_ard": ("8bad0fd8", "d97acfc1"),
+    "hier_logistic": ("0dd72647", "3fd48581"),
+    "gamma_poisson_nmf": ("e1b13fa7", "82fc4453"),
+    "dirichlet_exponential_nmf": ("1655d103", "ea3c2762"),
+    "gmm": ("d7c4da7b", "cc20b700"),
+    "gmm_minibatch": ("da96380d", "65f9e70a"),
+}
+
+# the flags each run adds: the small instance's K, and on one model each
+# a chunked gradient tape (two draws) and the batch path
+_RUN_FLAGS = {
+    "gamma_poisson_nmf": ["--hyper", "K=2"],
+    "dirichlet_exponential_nmf": ["--hyper", "K=2"],
+    "gmm": ["--hyper", "K=2", "--grad-samples", "2"],
+    "gmm_minibatch": ["--hyper", "K=2", "--minibatch", "4"],
+}
+
+
+def test_outputs_keep_their_bits(tmp_path, capsys):
+    got = {}
+    for name in zoo.ZOO_NAMES:
+        model, data = small_zoo_instance(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data.entries))
+        hypers = [a for k, v in model.hyperparams.items()
+                  for a in ("--hyper", f"{k}={v!r}")]
+        files = [tmp_path / f"{name}_samples.csv",
+                 tmp_path / f"{name}_trace.csv"]
+        assert main(["--model", name, "--data", str(path),
+                     "--output", str(files[0]),
+                     "--diagnostic", str(files[1]),
+                     "--max-iters", "20", "--eval-every", "10",
+                     "--elbo-samples", "10", "--draws", "20", "--seed", "0",
+                     *hypers, *_RUN_FLAGS.get(name, [])]) == 0
+        got[name] = tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:8]
+                          for f in files)
+    assert got == _OUTPUT_BITS

@@ -229,9 +229,9 @@ def _entropy(p):
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
 def test_estimate_is_the_fsum_of_per_draw_joints(name, n_samples, pairs,
                                                  monkeypatch):
-    # the estimate scores the transforms and the prior once per block of
-    # draws, then the likelihood a chunk per call: every draw keeps the
-    # bits of its own joint, at one draw per call and at three
+    # the estimate scores the transforms and the prior of all its draws
+    # in one call, then the likelihood a chunk per call: every draw keeps
+    # the bits of its own joint, at one draw per call and at three
     model, data = small_zoo_instance(name)
     n = model.num_observations(data)
     monkeypatch.setattr(model_module, "_PAIRS_PER_CALL",
@@ -247,7 +247,7 @@ def test_estimate_is_the_fsum_of_per_draw_joints(name, n_samples, pairs,
         float(expected).hex()
 
 
-def test_a_prior_constant_over_a_block_of_draws_is_each_draws():
+def test_a_prior_constant_over_the_draws_is_each_draws():
     model = ModelDefinition(
         name="flat_prior", blocks=(BlockSpec("z", Identity(1), scalar=True),),
         log_prior=lambda v, data: 0.0,
@@ -263,11 +263,31 @@ def test_a_prior_constant_over_a_block_of_draws_is_each_draws():
         math.fsum(joints) / 8 + _entropy(p)
 
 
+@pytest.mark.parametrize("n_samples, pairs", [(100, None), (5000, None),
+                                              (100, 1)])
+def test_an_estimate_scores_the_prior_of_all_its_draws_in_one_call(
+        n_samples, pairs, monkeypatch):
+    # at any draw count and chunk size, not once per block or chunk
+    if pairs is not None:
+        monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", pairs)
+    model, data = small_zoo_instance("gmm")
+    calls = []
+
+    def counted(values, data):
+        calls.append(1)
+        return model.log_prior(values, data)
+
+    p = VariationalParams(np.zeros(model.dim), np.full(model.dim, -1.0))
+    estimate_elbo(replace(model, log_prior=counted), data, p, n_samples, 3)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("part", ["prior", "likelihood"])
 def test_a_draw_out_of_the_domain_is_dropped_alone(part, monkeypatch):
-    # blocks of 40 draws, the likelihood 4 draws a call: the one draw at
-    # or above the limit takes its block (or chunk) down, and is the only
-    # draw dropped when the block is rerun draw by draw
+    # the prior of all 100 draws in one call, the likelihood 4 draws a
+    # call: the one draw at or above the limit takes the prior call (or
+    # its chunk) down, and is the only draw dropped when the draws are
+    # rerun one at a time
     monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 40)
     data = Dataset({"x": np.linspace(-1.0, 2.0, 10)})
     limit = [math.inf]

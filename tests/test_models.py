@@ -73,6 +73,18 @@ def test_dimension_must_be_an_integer():
         zoo.make_model("gmm", dims={"K": 3, "D": 2}).dim
 
 
+@pytest.mark.parametrize("name, hypers, dims", [
+    ("gmm", None, {"D": True, "K": 2}),
+    ("linreg_ard", None, {"D": "3"}),
+    ("poisson_exponential", {"rate": True}, None),
+    ("poisson_exponential", {"rate": "2.0"}, None),
+])
+def test_a_bool_or_a_string_is_not_a_setting(name, hypers, dims):
+    # float() would read True as 1.0 and "3" as 3.0
+    with pytest.raises(ConfigurationError, match="must be a number, got"):
+        zoo.make_model(name, hypers, dims)
+
+
 def test_hyper_defaults():
     m = zoo.make_model("dirichlet_exponential_nmf", dims={"U": 2, "I": 2})
     assert m.hyperparams == {"alpha0": 1000.0, "lambda0": 0.1}
