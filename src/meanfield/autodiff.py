@@ -452,19 +452,20 @@ def log_sum_exp(x, axis=-1):
 
 
 def take(x, idx, axis=-1):
-    """``x`` at the integer indices ``idx`` along ``axis``, as np.take.
+    """``x`` at ``idx`` along ``axis``: an index array gathers, as np.take
+    does, and an int or a slice indexes as ``x[..., idx]`` would.
 
-    A model gathers with it, counting ``axis`` from the end, so that a
-    value's leading draw axes pass through, on the float path and on the
-    tape."""
+    A model reads a block's entries with it, counting ``axis`` from the
+    end, so that a value's leading draw axes pass through, on the float
+    path and on the tape."""
     if type(x) is np.ndarray:
-        if not isinstance(idx, (int, np.integer)):
+        if not isinstance(idx, (int, np.integer, slice)):
             return x.take(idx, axis=axis)  # without np.take's Python wrapper
     elif type(x) is not Var:
         return np.take(x, idx, axis=axis)
-    # a Var, or an array at one index: basic indexing, a fraction of the
-    # cost of take with the same value and type (x[..., idx] would make
-    # the entry of a 1-D array 0-d, not a numpy scalar)
+    # a Var, or an array at an int or a slice: basic indexing, a fraction
+    # of the cost of take with the same value and type (x[..., idx] would
+    # make the entry of a 1-D array 0-d, not a numpy scalar)
     lead = len(x.shape) + axis if axis < 0 else axis
     return x[idx if lead == 0 else (slice(None),) * lead + (idx,)]
 

@@ -156,12 +156,7 @@ def main(argv=None) -> int:
         "unconstrained_dim": model.dim,
     }
     if report is not None:
-        details["heldout"] = {
-            "mean_log_predictive": report.mean_log_predictive,
-            "num_points": report.num_points,
-            "num_draws": report.num_draws,
-            "failed_index": report.failed_index,
-        }
+        details["heldout"] = asdict(report)
     manifest = RunManifest(
         model=args.model,
         hyperparams=dict(model.hyperparams),

@@ -14,7 +14,9 @@ likelihood), then the likelihood a chunk of draws per call.
 
 Every generator comes from :func:`substream`, at a named position
 `(seed, kind, iteration[, sample])`, so a draw does not depend on the
-other draws or on how they are chunked, and reruns are bit-identical.
+other draws or on how they are chunked. Outputs repeat bit for bit for a
+given version, seed, numpy build and SIMD dispatch level: numpy's exp and
+log loops round differently at each level.
 ``fit`` picks the observations once, ``arange(N)`` per fit or a batch per
 iteration, and silences floating-point warnings for its whole loop.
 
@@ -501,5 +503,4 @@ def draw_posterior(model: ModelDefinition, params: VariationalParams,
     # one array expression over all draws: a row of zeta per draw
     with np.errstate(all="ignore"):
         values, _ = constrain_blocks(model, zeta)
-    out = {b.name: np.asarray(values[b.name]) for b in model.blocks}
-    return PosteriorDraws(samples=out, size=size)
+    return PosteriorDraws(samples=values, size=size)

@@ -236,10 +236,11 @@ def constrain_blocks(model: ModelDefinition, zeta):
     into every value. This is the one place the packed layout is read. It
     walks ``model.runs``: each run's coordinates are sliced once and mapped
     by one :func:`transforms.constrain` call, then each block's value is
-    cut out of the run's: an index for a scalar block, a slice reshaped to
-    ``(..., rows, k)`` for a per-row block. Returns ``(values, log_det)``
-    where ``log_det`` is the Jacobian correction per draw, summed over all
-    runs (and rows), or None when every block is Identity, which has none.
+    cut out of the run's by :func:`autodiff.take`, at an int for a scalar
+    block, else at a slice (reshaped to ``(..., rows, k)`` if per-row).
+    Returns ``(values, log_det)`` where ``log_det`` is the Jacobian
+    correction per draw, summed over all runs (and rows), or None when
+    every block is Identity, which has none.
     """
     zeta = ad.as_array(zeta)
     dims = zeta.shape
@@ -257,8 +258,7 @@ def constrain_blocks(model: ModelDefinition, zeta):
             part = part.reshape(lead + rows)
         theta, ld = tr.constrain(kind, part, len(lead))
         for name, key, shape in members:
-            value = theta if key is None else theta[(..., key) if lead
-                                                    else key]
+            value = theta if key is None else ad.take(theta, key)
             values[name] = value if shape is None \
                 else value.reshape(lead + shape)
         if not isinstance(kind, tr.Identity):  # its log_det is 0

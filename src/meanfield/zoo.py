@@ -71,15 +71,6 @@ def _each_point(x, core=0):
     return x.reshape(shape[:lead] + (1,) + shape[lead:])
 
 
-def _column(x, j):
-    """Entry ``j`` of the last axis of vector block value ``x``, as
-    :func:`_each_point` would give it: ``x[j]`` without draw axes (a
-    scalar, on the tape too), else ``x[..., j, None]``."""
-    if len(getattr(x, "shape", ())) == 1:
-        return x[j]
-    return x[..., j, None]
-
-
 def _build_poisson_exponential(*, rate=1.0):
     def log_prior(v, data):
         return dens.exponential(v["lam"], rate)
@@ -140,14 +131,14 @@ def _build_hier_logistic(*, n_age, n_edu, n_age_edu, n_state, n_region_full):
         return ad.add(*terms)
 
     def loglik(v, data, idx):
-        beta = v["beta"]
+        beta = _each_point(v["beta"], 1)
         female = data["female"][idx]
         black = data["black"][idx]
-        yhat = ad.add(_column(beta, 0),
-                      _column(beta, 1) * black,
-                      _column(beta, 2) * female,
-                      _column(beta, 4) * (female * black),
-                      _column(beta, 3) * data["v_prev_full"][idx],
+        yhat = ad.add(ad.take(beta, 0),
+                      ad.take(beta, 1) * black,
+                      ad.take(beta, 2) * female,
+                      ad.take(beta, 4) * (female * black),
+                      ad.take(beta, 3) * data["v_prev_full"][idx],
                       *(ad.take(v[g], data[_HIER_INDEX[g]][idx])
                         for g in _HIER_GROUPS))
         return dens.bernoulli_logit(data["y"][idx], yhat)

@@ -282,6 +282,24 @@ def test_take_gathers_along_an_axis_of_floats_and_tape_values():
     cols = ad.take(leaf, np.array([1, 1]), -1)
     grad = ad.gradient(ad.sum(cols), [leaf])[0]
     assert grad.tolist() == [[0.0, 2.0, 0.0]] * 4
+    # an int or a slice indexes the last axis past the draw axes, as
+    # x[..., key], but an int on a 1-D value gives a numpy scalar
+    for key in (1, slice(1, 3)):
+        for val in (x[0], x):
+            want = val[..., key]
+            got = ad.take(val, key)
+            assert np.array_equal(got, want)
+            g = ad.Graph()
+            leaf = g.leaf(val)
+            taped = ad.take(leaf, key)
+            assert np.array_equal(taped.val, want)
+            if val.ndim == 1 and key == 1:
+                assert type(got) is np.float64
+                assert type(taped.val) is np.float64
+            grad = ad.gradient(ad.sum(taped), [leaf])[0]
+            hit = np.zeros(val.shape)
+            hit[..., key] = 1.0
+            assert np.array_equal(grad, hit)
 
 
 def _ulps(a, b):

@@ -307,22 +307,27 @@ def test_all_identity_model_has_no_log_det():
     assert ad.gradient(out, [z])[0].tolist() == [1.0] * 4
 
 
-# Nodes per gradient of each small instance on one array leaf. The counts
-# are deterministic; a change that grows a tape must update this table.
+# Nodes per gradient of each small instance on one array leaf, of one draw
+# (dim,) and of two draws (2, dim). The counts are deterministic; a change
+# that grows a tape must update this table.
 _TAPE_NODES = {
-    "poisson_exponential": 9, "linreg_ard": 24, "hier_logistic": 47,
-    "gamma_poisson_nmf": 24, "dirichlet_exponential_nmf": 23, "gmm": 26,
-    "gmm_minibatch": 26,
+    "poisson_exponential": (9, 10), "linreg_ard": (24, 27),
+    "hier_logistic": (47, 53), "gamma_poisson_nmf": (24, 24),
+    "dirichlet_exponential_nmf": (23, 23), "gmm": (26, 29),
+    "gmm_minibatch": (26, 29),
 }
 
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
 def test_tape_nodes_per_gradient(name):
     model, data = _small_instance(name)
-    g = ad.Graph()
-    z = g.leaf(np.full(model.dim, 0.1))
-    ad.gradient(log_joint_unconstrained(model, data, z), [z])
-    assert len(g) == _TAPE_NODES[name]
+    counts = []
+    for shape in [(model.dim,), (2, model.dim)]:
+        g = ad.Graph()
+        z = g.leaf(np.full(shape, 0.1))
+        ad.gradient(log_joint_unconstrained(model, data, z), [z])
+        counts.append(len(g))
+    assert tuple(counts) == _TAPE_NODES[name]
 
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
