@@ -32,6 +32,11 @@ objective estimates and held-out scoring; given Vars it appends one node.
 The structural operations on every tape's hot path, indexing,
 ``Var.reshape`` and :func:`sum`, push their own vjp through
 ``Graph._push``, without ``node``'s operand loop and unbroadcasting.
+
+A sum or maximum over a last axis of 2 to 7 entries (in :func:`sum`,
+:func:`dot` and :func:`log_sum_exp`, over 256 rows or more) combines the
+slices left to right, which is numpy's own order there, so the bits are
+``np.add.reduce``'s; a longer axis uses ``np.add.reduce``.
 """
 
 from __future__ import annotations
@@ -398,11 +403,32 @@ def log_gamma(x):
 
 # -- reductions and structure -------------------------------------------------
 
+def _reduce(ufunc, x, axis):
+    """``ufunc.reduce(x, axis=axis)`` for np.add or np.maximum, combining
+    the slices left to right when ``axis`` is the last axis of a float64
+    array of 2 or more axes, and it holds 2 to 7 entries in each of 256
+    rows or more.
+
+    numpy runs a separate loop for every row of so short an axis, in the
+    same order (a sum from 0.0, so that a row of -0.0 sums to +0.0), so
+    the bits are the same; from 8 entries on numpy sums pairwise. Below
+    256 rows numpy's loops cost less than a call per slice."""
+    if (axis == -1 and type(x) is np.ndarray and x.ndim > 1
+            and 2 <= x.shape[-1] < 8 and x.size >= 256 * x.shape[-1]
+            and x.dtype == np.float64):
+        cols = x.reshape(-1, x.shape[-1])  # 1-D slices: numpy's fastest loops
+        out = cols[:, 0] + 0.0 if ufunc is np.add else cols[:, 0].copy()
+        for k in range(1, x.shape[-1]):
+            ufunc(out, cols[:, k], out=out)
+        return out.reshape(x.shape[:-1])
+    # np.add.reduce is what np.sum calls, without its Python-level wrapper
+    return ufunc.reduce(x, axis=axis)
+
+
 def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
     """Sum over ``axis``, an int or a tuple of ints (all axes when None)."""
-    # np.add.reduce is what np.sum calls, without its Python-level wrapper
     if type(x) is not Var:
-        return np.add.reduce(x, axis=axis)
+        return _reduce(np.add, x, axis)
     src = x.shape
     if axis is not None and len(src) <= (
             len(axis) if type(axis) is tuple else 1):
@@ -417,7 +443,7 @@ def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
             out[...] = g.reshape(keep)
         return (out,)
 
-    return x.graph._push((x.i,), np.add.reduce(x.val, axis=axis), vjp)
+    return x.graph._push((x.i,), _reduce(np.add, x.val, axis), vjp)
 
 
 def _kept(shape: tuple, axis) -> tuple:
@@ -435,15 +461,15 @@ def log_sum_exp(x, axis=-1):
     sequence of scalars and Vars."""
     x = as_array(x)
     v = value(x)
-    top = np.max(v, axis=axis, keepdims=True)
+    keep = _kept(v.shape, axis) if np.ndim(v) else ()  # 0-d: the value
+    top = _reduce(np.maximum, v, axis)
     # a non-finite maximum (-inf, +inf or nan) dominates the sum: shifting
     # by 0 instead keeps it as the result
     top = np.where(np.isfinite(top), top, 0.0)
-    out = np.log(np.sum(np.exp(v - top), axis=axis, keepdims=True)) + top
-    out = np.squeeze(out, axis=axis)[()]
+    out = (np.log(_reduce(np.add, np.exp(v - top.reshape(keep)), axis))
+           + top)[()]
 
     def partial(g):
-        keep = _kept(v.shape, axis) if np.ndim(v) else ()  # 0-d: the value
         o = out.reshape(keep)
         w = np.where(np.isfinite(o), np.exp(v - o), 0.0)
         return np.asarray(g).reshape(keep) * w

@@ -134,8 +134,8 @@ def exponential(x, rate):
 def _concentration(av):
     """The sum of concentration ``av`` over its last axis, the sum of its
     log-gammas and the log-gamma of its sum."""
-    a0 = np.add.reduce(av, axis=-1)
-    return a0, np.add.reduce(ad.log_gamma(av), axis=-1), ad.log_gamma(a0)
+    a0 = ad.sum(av, -1)
+    return a0, ad.sum(ad.log_gamma(av), -1), ad.log_gamma(a0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -159,7 +159,7 @@ def dirichlet(x, alpha):
     if k < 2 or np.shape(av)[-1:] != (k,):
         raise DomainError(f"dirichlet: need matching vectors of length >= 2,"
                           f" got {np.shape(xv)}/{np.shape(av)}")
-    total = np.add.reduce(xv, axis=-1)
+    total = ad.sum(xv, -1)
     if not _holds(np.abs(total - 1.0) <= 1e-8):
         raise DomainError(f"dirichlet: value sums to {total}, not 1")
     _positive(alpha, "dirichlet", "concentration")
@@ -169,7 +169,7 @@ def dirichlet(x, alpha):
         a0, lg, lg0 = _concentration(av)
     else:
         a0, lg, lg0 = _constant_concentration(av.shape, av.tobytes())
-    out = np.add.reduce((av - 1.0) * lx, axis=-1) - lg + lg0
+    out = ad.sum((av - 1.0) * lx, -1) - lg + lg0
     keep = np.shape(out) + (1,)
 
     def rows(g):  # a row's adjoint, to broadcast over its components

@@ -469,3 +469,104 @@ def test_a_scalar_leaf_takes_what_a_float_takes(op, grad):
     out = op(x)
     assert _same_bits(out.val, op(np.float64(0.7)))
     assert ad.gradient(out, [x]) == [grad]
+
+
+# a reduction over a last axis of 2 to 7 entries, in 256 rows or more,
+# combines the slices left to right; these shapes and lengths cover both
+# sides of the row count and of numpy's switch to pairwise summation at 8
+# entries, which the slices must leave to numpy
+_OUTER_SHAPES = [(), (0,), (1,), (7,), (3, 5), (255,), (256,), (4, 1000)]
+_LAST_AXIS = range(1, 18)
+
+
+def _rows(rng, outer, n, special=True):
+    """Floats of shape ``outer + (n,)`` spanning 24 orders of magnitude;
+    with ``special``, the first rows hold only -0.0, only +inf, +inf with
+    -inf, -inf with finite values, a NaN, and mixed signed zeros."""
+    x = rng.normal(0.0, 1.0, outer + (n,)) * 10.0 ** rng.integers(
+        -12, 13, outer + (n,))
+    rows = x.reshape(-1, n)  # a view: writes reach x
+    if special:
+        for row, fill in zip(rows, [(-0.0,), (np.inf,), (np.inf, -np.inf),
+                                    (-np.inf, 1.5), (2.0, np.nan),
+                                    (0.0, -0.0)]):
+            row[:] = np.resize(fill, n)
+    return x
+
+
+def _tape_value(x):
+    """A tape value with the bits of ``x``, non-finite entries included,
+    which a leaf refuses."""
+    return ad.Graph().leaf(np.ones(np.shape(x))) * x
+
+
+def _reduction_cases():
+    rng = np.random.default_rng(31)
+    for outer in _OUTER_SHAPES:
+        for n in _LAST_AXIS:
+            yield outer, n, _rows(rng, outer, n)
+
+
+def test_sum_over_the_last_axis_keeps_numpys_bits():
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for outer, n, x in _reduction_cases():
+            want = np.add.reduce(x, axis=-1)
+            got = ad.sum(x, -1)
+            assert type(got) is type(want) and _same_bits(got, want), \
+                (outer, n)
+            v = _tape_value(x)
+            assert _same_bits(ad.sum(v, -1).val,
+                              np.add.reduce(v.val, axis=-1)), (outer, n)
+    ints = np.arange(60).reshape(3, 4, 5)
+    assert ad.sum(ints, -1).dtype == np.int64
+    assert ad.sum(ints, -1).tolist() == ints.sum(-1).tolist()
+
+
+def test_dot_over_a_last_axis_keeps_numpys_bits():
+    rng = np.random.default_rng(37)
+    for outer in _OUTER_SHAPES:
+        for n in _LAST_AXIS:
+            x, y = (_rows(rng, outer, n, special=False) for _ in "xy")
+            want = np.add.reduce(x * y, axis=-1)
+            got = ad.dot(x, y)
+            assert type(got) is type(want) and _same_bits(got, want), \
+                (outer, n)
+            g = ad.Graph()
+            assert _same_bits(ad.dot(g.leaf(x), y).val, want), (outer, n)
+
+
+def _keepdims_log_sum_exp(v):
+    top = np.max(v, axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    out = np.log(np.sum(np.exp(v - top), axis=-1, keepdims=True)) + top
+    return np.squeeze(out, axis=-1)[()]
+
+
+def test_log_sum_exp_over_the_last_axis_keeps_numpys_bits():
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for outer, n, x in _reduction_cases():
+            want = _keepdims_log_sum_exp(x)
+            got = ad.log_sum_exp(x, -1)
+            assert type(got) is type(want) and _same_bits(got, want), \
+                (outer, n)
+            v = _tape_value(x)
+            assert _same_bits(ad.log_sum_exp(v, -1).val,
+                              _keepdims_log_sum_exp(v.val)), (outer, n)
+
+
+def test_short_axis_reductions_keep_their_gradients():
+    # finite leaves: the adjoint of a sum spreads the row's weight over
+    # its entries, and that of log_sum_exp weights them by exp(x - lse)
+    rng = np.random.default_rng(41)
+    for outer in [(7,), (3, 5), (2, 300)]:
+        for n in _LAST_AXIS:
+            x = rng.normal(0.0, 3.0, outer + (n,))
+            u = rng.normal(0.0, 1.0, outer)
+            leaf = ad.Graph().leaf(x)
+            d_sum, = ad.gradient(ad.sum(u * ad.sum(leaf, -1)), [leaf])
+            assert _same_bits(d_sum, np.broadcast_to(u[..., None], x.shape))
+            leaf = ad.Graph().leaf(x)
+            d_lse, = ad.gradient(ad.sum(u * ad.log_sum_exp(leaf, -1)),
+                                 [leaf])
+            lse = _keepdims_log_sum_exp(x)[..., None]
+            assert _same_bits(d_lse, u[..., None] * np.exp(x - lse))

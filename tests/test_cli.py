@@ -327,16 +327,25 @@ _OUTPUT_BITS = {
     "dirichlet_exponential_nmf": ("2e446359", "edec658d"),
     "gmm": ("815cec6c", "cc20b700"),
     "gmm_minibatch": ("f93950b5", "65f9e70a"),
+    "gmm_K10": ("5be69164", "86b293b4"),
 }
 _BITS_BASELINE = ["X86_V2"]
 
+# each run's name and model: every model's small instance, and gmm's at
+# the zoo default K=10 as well, whose sums over 10 components are numpy's
+# pairwise ones, where an axis of fewer than 8 is summed slice by slice
+_RUNS = [(name, name) for name in zoo.ZOO_NAMES] + [("gmm_K10", "gmm")]
+
 # the flags each run adds: the small instance's K, and on one model each
-# a chunked gradient tape (two draws) and the batch path
+# a chunked gradient tape (two draws) and the batch path; gmm at K=10
+# takes 24 gradient draws, so that the 24 x 12 (draw, point) rows of its
+# tape reach the row count at which short axes are reduced slice by slice
 _RUN_FLAGS = {
     "gamma_poisson_nmf": ["--hyper", "K=2"],
     "dirichlet_exponential_nmf": ["--hyper", "K=2"],
     "gmm": ["--hyper", "K=2", "--grad-samples", "2"],
     "gmm_minibatch": ["--hyper", "K=2", "--minibatch", "4"],
+    "gmm_K10": ["--hyper", "K=10", "--grad-samples", "24"],
 }
 
 _RUN_ALL = """
@@ -366,15 +375,15 @@ def _baseline_env():
                            "every target above it")
 def test_outputs_keep_their_bits(tmp_path):
     runs, files = [], {}
-    for name in zoo.ZOO_NAMES:
-        model, data = small_zoo_instance(name)
+    for name, model_name in _RUNS:
+        model, data = small_zoo_instance(model_name)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data.entries))
         hypers = [a for k, v in model.hyperparams.items()
                   for a in ("--hyper", f"{k}={v!r}")]
         files[name] = [tmp_path / f"{name}_samples.csv",
                        tmp_path / f"{name}_trace.csv"]
-        runs.append(["--model", name, "--data", str(path),
+        runs.append(["--model", model_name, "--data", str(path),
                      "--output", str(files[name][0]),
                      "--diagnostic", str(files[name][1]),
                      "--max-iters", "20", "--eval-every", "10",

@@ -311,6 +311,26 @@ def test_dirichlet_float_path_keeps_the_composed_bits():
         assert taped.val.tobytes() == expected.tobytes()
 
 
+def test_dirichlet_row_sums_keep_numpys_bits():
+    # 256 or more rows of 2 to 7 components are summed slice by slice,
+    # longer ones by numpy: both give the composed bits of np.add.reduce,
+    # for a constant or tape concentration of one row or one per row
+    rng = np.random.default_rng(43)
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
+    for k in range(2, 18):
+        raw = 10.0 ** rng.uniform(-6.0, 0.0, (3, 300, k))
+        x = raw / np.add.reduce(raw, axis=-1)[..., None]
+        for alpha in (rng.uniform(0.5, 4.0, k),
+                      rng.uniform(0.5, 4.0, (300, k))):
+            want = (np.add.reduce((alpha - 1.0) * np.log(x), axis=-1)
+                    - np.add.reduce(lgamma(alpha), axis=-1)
+                    + lgamma(np.add.reduce(alpha, axis=-1)))
+            assert dens.dirichlet(x, alpha).tobytes() == want.tobytes(), k
+            g = ad.Graph()
+            taped = dens.dirichlet(g.leaf(x), g.leaf(alpha))
+            assert taped.val.tobytes() == want.tobytes(), k
+
+
 def test_domain_errors_name_the_distribution():
     with pytest.raises(DomainError, match="normal"):
         dens.normal(0.0, 0.0, -1.0)
