@@ -36,7 +36,9 @@ The structural operations on every tape's hot path, indexing,
 A sum or maximum over a last axis of 2 to 7 entries (in :func:`sum`,
 :func:`dot` and :func:`log_sum_exp`, over 256 rows or more) combines the
 slices left to right, which is numpy's own order there, so the bits are
-``np.add.reduce``'s; a longer axis uses ``np.add.reduce``.
+``np.add.reduce``'s; a longer axis uses ``np.add.reduce``. A
+:func:`cumsum` over such an axis adds its slices the same way, with
+``np.cumsum``'s bits.
 """
 
 from __future__ import annotations
@@ -300,11 +302,31 @@ def _add(x, y):
 def add(*terms):
     """The sum of ``terms``, added left to right as a chain of ``+`` adds
     them, recorded as one node: each Var term's adjoint is the node's,
-    summed over the axes broadcasting added."""
+    summed over the axes broadcasting added.
+
+    From the third term on, a term that keeps the running total's shape
+    and dtype is added into the total in place: the total is then an
+    array this call made, never an operand, and the bits are the chain's.
+    """
     out = value(terms[0])
-    for t in terms[1:]:
-        out = out + value(t)
+    for k, t in enumerate(terms[1:]):
+        v = value(t)
+        if k and type(out) is np.ndarray and _keeps(out, v):
+            np.add(out, v, out=out)
+        else:
+            out = out + v
     return node(terms, out, (_same,) * len(terms))
+
+
+def _keeps(total: np.ndarray, v) -> bool:
+    """Whether ``total + v`` has the shape and dtype of ``total``."""
+    shape = getattr(v, "shape", ())  # a Python number has none
+    if shape != total.shape and (len(shape) > total.ndim or any(
+            n not in (1, m) for n, m in zip(shape[::-1], total.shape[::-1]))):
+        return False
+    # a float64 array or scalar: the hot path, without result_type's cost
+    return (getattr(v, "dtype", None) == total.dtype
+            or np.result_type(total, v) == total.dtype)
 
 
 def _sub(x, y):
@@ -368,8 +390,16 @@ def softplus(x):
     v = value(x)
     # max(v, 0) + log1p(exp(-|v|)) is np.logaddexp(0, v)'s formula on
     # ufuncs that have SIMD loops, which logaddexp lacks; both are
-    # faithfully rounded, so they differ by at most 2 ulps
-    out = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+    # faithfully rounded, so they differ by at most 2 ulps. The second
+    # term is computed in one fresh float buffer
+    tail = np.abs(v)
+    if type(tail) is not np.ndarray or tail.dtype.kind != "f":
+        # a 0-d or an int input: a buffer of the dtype exp would return
+        tail = np.array(tail, dtype=np.result_type(tail, 1.0))
+    for f in (np.negative, np.exp, np.log1p):
+        f(tail, out=tail)
+    out = np.maximum(v, 0.0)
+    out += tail  # in place on an array; a scalar becomes a new scalar
     return node((x,), out, (lambda g: g * logistic(v),))
 
 
@@ -403,19 +433,26 @@ def log_gamma(x):
 
 # -- reductions and structure -------------------------------------------------
 
+def _short_rows(x, axis) -> bool:
+    """Whether ``axis`` is the last axis of a float64 array of 2 or more
+    axes, and it holds 2 to 7 entries in each of 256 rows or more.
+
+    numpy runs a separate loop for every row of so short an axis; a ufunc
+    call per 1-D slice of the axis costs less, in the same order. Below
+    256 rows numpy's loops cost less than a call per slice."""
+    return (axis == -1 and type(x) is np.ndarray and x.ndim > 1
+            and 2 <= x.shape[-1] < 8 and x.size >= 256 * x.shape[-1]
+            and x.dtype == np.float64)
+
+
 def _reduce(ufunc, x, axis):
     """``ufunc.reduce(x, axis=axis)`` for np.add or np.maximum, combining
-    the slices left to right when ``axis`` is the last axis of a float64
-    array of 2 or more axes, and it holds 2 to 7 entries in each of 256
-    rows or more.
+    the slices left to right on the short rows of :func:`_short_rows`.
 
-    numpy runs a separate loop for every row of so short an axis, in the
-    same order (a sum from 0.0, so that a row of -0.0 sums to +0.0), so
-    the bits are the same; from 8 entries on numpy sums pairwise. Below
-    256 rows numpy's loops cost less than a call per slice."""
-    if (axis == -1 and type(x) is np.ndarray and x.ndim > 1
-            and 2 <= x.shape[-1] < 8 and x.size >= 256 * x.shape[-1]
-            and x.dtype == np.float64):
+    numpy reduces so short an axis in the same order (a sum from 0.0, so
+    that a row of -0.0 sums to +0.0), so the bits are the same; from 8
+    entries on numpy sums pairwise."""
+    if _short_rows(x, axis):
         cols = x.reshape(-1, x.shape[-1])  # 1-D slices: numpy's fastest loops
         out = cols[:, 0] + 0.0 if ufunc is np.add else cols[:, 0].copy()
         for k in range(1, x.shape[-1]):
@@ -496,11 +533,25 @@ def take(x, idx, axis=-1):
     return x[idx if lead == 0 else (slice(None),) * lead + (idx,)]
 
 
+def _cumsum(x, axis):
+    """``np.cumsum(x, axis=axis)``, adding the slices left to right on the
+    short rows of :func:`_short_rows`: numpy accumulates sequentially at
+    every length, so the bits are the same."""
+    if not _short_rows(x, axis):
+        return np.asarray(x).cumsum(axis)  # without np.cumsum's wrapper
+    cols = x.reshape(-1, x.shape[-1])
+    out = np.empty(cols.shape)
+    out[:, 0] = cols[:, 0]
+    for k in range(1, cols.shape[1]):
+        np.add(out[:, k - 1], cols[:, k], out=out[:, k])
+    return out.reshape(x.shape)
+
+
 def cumsum(x, axis=-1):
     def partial(g):
-        return np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)
+        return np.flip(_cumsum(np.flip(g, axis), axis), axis)
 
-    return node((x,), np.cumsum(value(x), axis=axis), (partial,))
+    return node((x,), _cumsum(value(x), axis), (partial,))
 
 
 def concat(xs: Sequence, axis=-1):

@@ -214,7 +214,9 @@ def bernoulli_logit(y, logit_p):
     # for y = 0, stable at large |t|
     sign = 1.0 - 2.0 * y
     u = sign * ad.value(logit_p)
-    return ad.node((logit_p,), -ad.softplus(u),
+    out = ad.softplus(u)  # a fresh value: an array is negated in place
+    out = np.negative(out, out=out if type(out) is np.ndarray else None)
+    return ad.node((logit_p,), out,
                    (lambda g: -g * sign * ad.logistic(u),))
 
 

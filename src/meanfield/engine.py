@@ -17,8 +17,13 @@ Every generator comes from :func:`substream`, at a named position
 other draws or on how they are chunked. Outputs repeat bit for bit for a
 given version, seed, numpy build and SIMD dispatch level: numpy's exp and
 log loops round differently at each level.
-``fit`` picks the observations once, ``arange(N)`` per fit or a batch per
-iteration, and silences floating-point warnings for its whole loop.
+``fit`` picks the observations once, ``slice(None)`` (all of them) per fit
+or a sorted batch per iteration, and silences floating-point warnings for
+its whole loop. Every evaluation over the full data (``fit``'s objective
+estimates, and its gradients without a minibatch; :func:`estimate_elbo`;
+:func:`estimate_gradients` without a batch) passes ``idx = slice(None)``,
+so a model reads views of its data; the point count that bounds a chunk
+of draws comes from ``model.num_observations``, called once per fit.
 
 The trace's elapsed_ms column is a deterministic work clock: cumulative
 array elements produced by the gradient tapes (the sizes of every tape
@@ -46,8 +51,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
-from .model import Dataset, ModelDefinition, _batch_index, _joint, \
-    _prior_part, constrain_blocks, draw_chunks
+from .model import Dataset, ModelDefinition, _all_observations, \
+    _batch_index, _joint, _prior_part, constrain_blocks, draw_chunks
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -233,8 +238,10 @@ def _entropy(params: VariationalParams) -> float:
         float(np.sum(params.omega))
 
 
-def _elbo_and_drops(model, data, params, n_samples, rng, idx):
-    """:func:`estimate_elbo` over the observations ``idx``, and its drops."""
+def _elbo_and_drops(model, data, params, n_samples, rng, n_obs):
+    """:func:`estimate_elbo` over all ``n_obs`` observations, and its
+    drops."""
+    idx = _all_observations(n_obs)
     _check_count("n_samples", n_samples, 1)
     gen = _generator(rng)
     # one value per draw; NaN marks a draw out of the domain
@@ -255,7 +262,7 @@ def _elbo_and_drops(model, data, params, n_samples, rng, idx):
         else:  # a constant prior broadcasts; the likelihood is chunked
             chunks = draw_chunks(lambda k: ad.sum(model.loglik_term(
                 {name: v[k] for name, v in values.items()}, data, idx), -1),
-                n_samples, len(idx)) if len(idx) else ()
+                n_samples, n_obs) if n_obs else ()
             for k, lik in chunks:
                 joints[k] = math.nan if lik is None else joints[k] + lik
     kept = joints[np.isfinite(joints)].tolist()
@@ -283,8 +290,8 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
     :class:`EvaluationFailure`.
     """
-    idx = np.arange(model.num_observations(data))
-    return _elbo_and_drops(model, data, params, n_samples, rng, idx)[0]
+    return _elbo_and_drops(model, data, params, n_samples, rng,
+                           model.num_observations(data))[0]
 
 
 def _gradient_sample(model, data, zeta, idx, scale, clock):
@@ -314,13 +321,15 @@ def _gradient_sample(model, data, zeta, idx, scale, clock):
     return grad if np.count_nonzero(np.isfinite(grad)) == grad.size else None
 
 
-def _counted_gradients(model, data, params, m, seed, path, idx, scale):
-    """Gradient estimate of the joint ``_joint(..., idx, scale)``, plus the
-    tape elements that produced it and the number of draws redrawn; draw k
-    uses ``substream(seed, *path, k)``. The first attempts of two or more
-    draws take a tape per chunk (:func:`model.draw_chunks`); a single draw
-    skips the chunker. A draw that failed is redrawn from its own stream,
-    one tape per attempt."""
+def _counted_gradients(model, data, params, m, seed, path, idx, points,
+                       scale):
+    """Gradient estimate of the joint ``_joint(..., idx, scale)`` over the
+    ``points`` observations ``idx`` picks, plus the tape elements that
+    produced it and the number of draws redrawn; draw k uses
+    ``substream(seed, *path, k)``. The first attempts of two or more draws
+    take a tape per chunk (:func:`model.draw_chunks`); a single draw skips
+    the chunker. A draw that failed is redrawn from its own stream, one
+    tape per attempt."""
     _check_count("m", m, 1)
     mu = params.mu
     # inverse_standardize, with sigma = exp(omega) computed once and
@@ -337,7 +346,7 @@ def _counted_gradients(model, data, params, m, seed, path, idx, scale):
         etas = np.array([gen.standard_normal(params.dim) for gen in gens])
         zetas, grads = sigma * etas + mu, [None] * m
         for key, result in draw_chunks(lambda key: _gradient_sample(
-                model, data, zetas[key], idx, scale, clock), m, len(idx)):
+                model, data, zetas[key], idx, scale, clock), m, points):
             grads[key] = result
     g_mu = g_omega = 0.0
     redraws = 0
@@ -385,11 +394,13 @@ def estimate_gradients(model: ModelDefinition, data: Dataset,
     else:
         seed, path = _check_seed("rng", rng), ()
     if batch is None:
-        idx, scale = np.arange(model.num_observations(data)), None
+        points = model.num_observations(data)
+        idx, scale = _all_observations(points), None
     else:
         idx, scale = _batch_index(model, data, batch)
+        points = len(idx)
     g_mu, g_omega, _, _ = _counted_gradients(model, data, params, m, seed,
-                                             path, idx, scale)
+                                             path, idx, points, scale)
     return g_mu, g_omega
 
 
@@ -451,8 +462,9 @@ def fit(model: ModelDefinition, data: Dataset,
     if config.minibatch is not None and config.minibatch > n_obs:
         raise ConfigurationError(
             f"minibatch {config.minibatch} exceeds {n_obs} observations")
-    full = idx = np.arange(n_obs)
-    scale = None if config.minibatch is None else n_obs / config.minibatch
+    idx, points, scale = _all_observations(n_obs), n_obs, None
+    if config.minibatch is not None:
+        points, scale = config.minibatch, n_obs / config.minibatch
     params = _initial_params(model.dim, config)
     trace = ElboTrace()
     opt_mu = OptState(model.dim, config.window)
@@ -468,7 +480,7 @@ def fit(model: ModelDefinition, data: Dataset,
             try:
                 g_mu, g_omega, elements, redraws = _counted_gradients(
                     model, data, params, config.grad_samples, config.seed,
-                    (STREAM_GRAD, i), idx, scale)
+                    (STREAM_GRAD, i), idx, points, scale)
                 work_elements += elements
                 trace.gradient_redraws += redraws
                 params, clamped = _step(params, g_mu, g_omega, opt_mu,
@@ -477,7 +489,7 @@ def fit(model: ModelDefinition, data: Dataset,
                 if (i + 1) % config.eval_interval == 0:
                     elbo, dropped = _elbo_and_drops(
                         model, data, params, config.elbo_samples,
-                        substream(config.seed, STREAM_ELBO, i), full)
+                        substream(config.seed, STREAM_ELBO, i), n_obs)
                     trace.elbo_draws_dropped += dropped
                     trace.append(i + 1, work_elements / _ELEMENTS_PER_MS,
                                  elbo)

@@ -13,10 +13,14 @@ Evaluators must be deterministic given (dataset, values) and be array
 expressions that accept float arrays or tape values alike, which is what
 makes the same model definition usable for gradient evaluation, tape-free
 objective estimates, and held-out scoring. The likelihood of a whole batch
-is one call: ``loglik_term(values, data, idx)`` with ``idx`` a 1-D integer
-index array (``arange(N)`` for the full data, the batch for a minibatch)
-returns one term per index; with an int ``idx`` it returns that single
-term. The likelihood is the sum of those terms, so
+is one call: ``loglik_term(values, data, idx)`` with ``idx`` a slice or a
+1-D integer index array returns one term per observation it picks; with
+an int ``idx`` it returns that single term. The full data is
+``slice(None)``, at which a model reads views of its data, not copies; a
+minibatch is a sorted index array; a model that needs integer positions
+converts with ``np.arange(n)[idx]``, which takes an int, a slice and an
+array. (Held-out scoring passes ``arange`` blocks of points, which it
+reports by position.) The likelihood is the sum of those terms, so
 :func:`minibatch_log_joint` can subsample any model. Both call one joint,
 ``_joint(model, data, zeta, idx, scale)``, which the engine's gradient
 tapes call directly. ``_joint`` adds the likelihood to
@@ -27,13 +31,13 @@ Values may carry leading draw axes, one draw per index, on the tape-free
 float path and on the tape alike: :func:`constrain_blocks` carries them
 from the rows of ``zeta`` into every value and returns the log-det per
 draw, ``log_prior`` returns one value per draw, ``loglik_term`` returns
-shape ``(..., len(idx))``, and the joint sums the likelihood over the
-last axis. Objective estimates score the prior of all their draws in one
-call; their likelihood, held-out scoring and the gradient draws of an
-iteration take a chunk of draws per call (:func:`draw_chunks`; a chunk
-of gradient draws is one tape, whose sweep gives each draw its own
-gradient because no operation mixes draws); a chunk of one draw has no
-draw axis. A :class:`DomainError` from a call concerns the draws of the
+shape ``(..., n)`` for the n observations ``idx`` picks, and the joint
+sums the likelihood over the last axis. Objective estimates score the
+prior of all their draws in one call; their likelihood, held-out scoring
+and the gradient draws of an iteration take a chunk of draws per call
+(:func:`draw_chunks`; a chunk of gradient draws is one tape, whose sweep
+gives each draw its own gradient because no operation mixes draws); a
+chunk of one draw has no draw axis. A :class:`DomainError` from a call concerns the draws of the
 call: a call that raises is rerun one draw at a time (each draw's whole
 joint, for an estimate's prior), and a draw that raises alone is out of
 the domain (the engine drops or redraws it, held-out scoring gives it
@@ -149,9 +153,11 @@ class ModelDefinition:
 
     ``log_prior(values, data)`` and ``loglik_term(values, data, idx)``
     receive the constrained block values keyed by block name, with any
-    leading draw axes. ``idx`` is an int or a 1-D integer array of
-    observation indices; the result is the term of that observation, or
-    an array of one term per index on the last axis, per draw.
+    leading draw axes. ``idx`` is an int, a slice or a 1-D integer array
+    of observation indices; the result is the term of that observation,
+    or an array of one term per observation picked on the last axis, per
+    draw. The full data is ``slice(None)``; a model that needs integer
+    positions converts with ``np.arange(n)[idx]``.
     The likelihood is the sum of the terms over all observations, so
     scaling the sum over a uniformly drawn batch by N/B is unbiased for
     every model: any model can be subsampled.
@@ -274,11 +280,18 @@ def _prior_part(model, data, zeta):
     return values, out if log_det is None else out + log_det
 
 
+def _all_observations(n: int):
+    """The index of all ``n`` observations: ``slice(None)``, at which a
+    model reads views of its data entries, or None when there are none."""
+    return slice(None) if n else None
+
+
 def _joint(model, data, zeta, idx, scale):
-    """The joint at ``zeta`` over the observations ``idx`` (a 1-D index
-    array), the likelihood scaled by ``scale`` unless it is None."""
+    """The joint at ``zeta`` over the observations ``idx`` (a slice or a
+    1-D index array; None for no observations, and the joint is its
+    prior part), the likelihood scaled by ``scale`` unless it is None."""
     values, out = _prior_part(model, data, zeta)
-    if len(idx):
+    if idx is not None:
         lik = ad.sum(model.loglik_term(values, data, idx), -1)
         if scale is not None:
             lik = scale * lik
@@ -295,7 +308,7 @@ def log_joint_unconstrained(model: ModelDefinition, data: Dataset, zeta):
     policy on failed evaluations belongs to the caller.
     """
     return _joint(model, data, zeta,
-                  np.arange(model.num_observations(data)), None)
+                  _all_observations(model.num_observations(data)), None)
 
 
 def _batch_index(model: ModelDefinition, data: Dataset, batch):

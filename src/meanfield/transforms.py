@@ -213,7 +213,7 @@ def constrain(kind: TransformKind, zeta, draws: int = 0):
         # np.logaddexp, not ad.softplus: the stick values, and through
         # them the fits of the simplex models, keep their bits
         sp = np.logaddexp(0.0, t)
-        c = sp.cumsum(axis=-1)
+        c = ad.cumsum(sp)
         log_head = t - c
         out = np.exp(np.concatenate([log_head, -c[..., -1:]], axis=-1))
         # sum of log(stick) + log s + log(1 - s) over the pieces
@@ -226,7 +226,7 @@ def constrain(kind: TransformKind, zeta, draws: int = 0):
             # d log theta_i / d t_m is [i == m] - s_m [i >= m]; the
             # adjoint of log theta is g * theta
             gl = g * out
-            tail = gl[..., ::-1].cumsum(axis=-1)[..., :0:-1]
+            tail = ad.cumsum(gl[..., ::-1])[..., :0:-1]
             return gl[..., :-1] - s * tail
 
         # d log_det / d t_m = 1 - (K - m) s_m: t_m enters c_i for the
@@ -307,7 +307,7 @@ def unconstrain(kind: TransformKind, theta) -> list[float]:
         # The stick left after component i is the sum of the later ones,
         # accumulated from the end: one minus a prefix sum cancels when the
         # later components are tiny.
-        rest = np.cumsum(theta[..., :0:-1], axis=-1)[..., ::-1]
+        rest = ad.cumsum(theta[..., :0:-1])[..., ::-1]
         zeta = (np.log(theta[..., :-1]) - np.log(rest)
                 + _stick_offsets(kind.size))
     elif isinstance(kind, Ordered):

@@ -170,9 +170,11 @@ def _nmf_num_observations(data):
 
 
 def _nmf_loglik(v, data, idx):
-    # observation idx is cell divmod(idx, I) of the U x I count matrix
+    # observation n is cell divmod(n, I) of the U x I count matrix; an int
+    # or an index array holds the n already, a slice becomes them
     y = data["y"]
-    u, i = np.divmod(idx, y.shape[1])
+    cells = np.arange(y.size)[idx] if type(idx) is slice else idx
+    u, i = np.divmod(cells, y.shape[1])
     rate = ad.dot(ad.take(v["theta"], u, -2), ad.take(v["beta"], i, -2))
     return dens.poisson(y[u, i], rate)
 

@@ -570,3 +570,105 @@ def test_short_axis_reductions_keep_their_gradients():
                                  [leaf])
             lse = _keepdims_log_sum_exp(x)[..., None]
             assert _same_bits(d_lse, u[..., None] * np.exp(x - lse))
+
+
+def test_cumsum_over_the_last_axis_keeps_numpys_bits():
+    # numpy accumulates in order at every length, so the sums by slices
+    # over a short last axis give its bytes, on reversed views too
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for outer, n, x in _reduction_cases():
+            for y in (x, x[..., ::-1]):
+                want = np.cumsum(y, axis=-1)
+                got = ad.cumsum(y)
+                assert type(got) is type(want) and _same_bits(got, want), \
+                    (outer, n)
+                assert _same_bits(ad.cumsum(_tape_value(y)).val, want), \
+                    (outer, n)
+
+
+def test_cumsum_partial_keeps_numpys_bits():
+    # the adjoint of a cumulative sum is the reversed cumulative sum of
+    # the node's adjoint, here w
+    rng = np.random.default_rng(43)
+    for outer in [(7,), (255,), (256,), (2, 300)]:
+        for n in _LAST_AXIS:
+            x = rng.normal(0.0, 3.0, outer + (n,))
+            w = _rows(rng, outer, n, special=False)
+            leaf = ad.Graph().leaf(x)
+            d_x, = ad.gradient(ad.sum(w * ad.cumsum(leaf)), [leaf])
+            want = np.flip(np.cumsum(np.flip(w, -1), axis=-1), -1)
+            assert _same_bits(d_x, want), (outer, n)
+
+
+def _chained(terms):
+    out = ad.value(terms[0])
+    for t in terms[1:]:
+        out = out + ad.value(t)
+    return out
+
+
+def _sum_cases():
+    rng = np.random.default_rng(47)
+    x = rng.normal(0.0, 1.0, (3, 4)) * 10.0 ** rng.integers(-8, 9, (3, 4))
+    y = rng.normal(0.0, 1.0, 4)
+    ints = rng.integers(-5, 6, (3, 4))
+    return {
+        "a term passed thrice": (x, x, x),
+        "a term passed twice after the first": (y, x, x, y),
+        "an int array term": (x, 0.5, ints, x),
+        "an int total": (ints, ints, 3, ints, x),
+        "a term that broadcasts the total": (y, y, x, y),
+        "0-d arrays": (np.array(0.1), np.array(0.2), np.array(0.3)),
+        "numpy scalars": (np.float64(0.1), np.float64(0.2), np.float64(0.3)),
+        "floats": (0.1, 0.2, 0.3, 0.4),
+        "a float first": (0.5, y, y, 2, y),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sum_cases()))
+def test_add_into_its_own_total_keeps_the_chains_result(case):
+    terms = _sum_cases()[case]
+    before = [np.copy(t) for t in terms]
+    want = _chained(terms)
+    got = ad.add(*terms)
+    assert type(got) is type(want)
+    assert np.result_type(got) == np.result_type(want)
+    assert _same_bits(got, want)
+    for t, b in zip(terms, before):  # no operand is written to
+        assert _same_bits(t, b)
+
+
+def test_add_into_its_own_total_leaves_var_operands_as_they_are():
+    x = _sum_cases()["a term passed thrice"][0]
+    g = ad.Graph()
+    leaf = g.leaf(x)
+    twice = leaf * 2.0
+    before = [np.copy(leaf.val), np.copy(twice.val)]
+    terms = (leaf, twice, leaf, x, twice)
+    out = ad.add(*terms)
+    assert _same_bits(out.val, _chained(terms))
+    assert _same_bits(leaf.val, before[0]) and \
+        _same_bits(g.nodes[leaf.i][0], before[0])
+    assert _same_bits(twice.val, before[1])
+    d_x, = ad.gradient(ad.sum(out), [leaf])
+    assert d_x.tolist() == np.full(x.shape, 6.0).tolist()
+
+
+def _chained_softplus(v):
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+
+@pytest.mark.parametrize("v", [
+    np.array([-800.0, -3.5, -0.0, 0.0, 1e-300, 2.5, 40.0, 800.0]),
+    np.array([[-2.0, 0.5], [3.0, -7.25]]),
+    np.arange(-4, 5),
+    np.int64(-3), 3, 0.25, np.float64(-1.5), np.array(2.0),
+], ids=["floats", "rows", "ints", "numpy_int", "int", "float",
+        "numpy_float", "0d"])
+def test_softplus_in_one_buffer_keeps_the_chains_result(v):
+    before = np.copy(v)
+    want = _chained_softplus(v)
+    got = ad.softplus(v)
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert _same_bits(got, want)
+    assert _same_bits(v, before)

@@ -368,3 +368,20 @@ def test_domain_errors_name_the_distribution():
 def test_bernoulli_logit_extreme_values_are_finite():
     assert math.isfinite(dens.bernoulli_logit(1, -700.0))
     assert math.isfinite(dens.bernoulli_logit(0, 700.0))
+
+
+@pytest.mark.parametrize("y, logit", [
+    (np.array([0, 1, 1, 0, 1]), np.array([-40.0, -2.5, 0.0, 3.0, 800.0])),
+    (np.array([[0, 1], [1, 1]]), np.array([0.5, -1.5])),
+    (1, np.float64(-2.0)),
+    (0, 0.75),
+], ids=["points", "broadcast", "numpy_scalar", "float"])
+def test_bernoulli_logit_negates_its_own_softplus(y, logit):
+    # the mass is -softplus((1 - 2y) * logit), negated in place: the
+    # operands are not written to, and a scalar gives a numpy scalar
+    before = np.copy(logit)
+    want = -ad.softplus((1.0 - 2.0 * np.asarray(y)) * logit)
+    got = dens.bernoulli_logit(y, logit)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(logit).tobytes() == before.tobytes()

@@ -432,7 +432,7 @@ class TestEstimateGradients:
                 expected = _one_tape_per_draw(model, EMPTY_DATA, p, m, seed,
                                               path)
                 g_mu, g_omega, _, redraws = engine._counted_gradients(
-                    model, EMPTY_DATA, p, m, seed, path, np.arange(0), None)
+                    model, EMPTY_DATA, p, m, seed, path, None, 0, None)
             assert (g_mu.tolist(), g_omega.tolist(), redraws) == \
                 (expected[0].tolist(), expected[1].tolist(), expected[2])
         if m == 40:  # each region holds 2-7% of the first draws
@@ -454,9 +454,9 @@ class TestEstimateGradients:
         p = VariationalParams([0.3], [-0.5])
         g_mu, g_omega, elements, redraws = engine._counted_gradients(
             replace(toy, log_prior=log_prior), EMPTY_DATA, p, 4, 9, (),
-            np.arange(0), None)
+            None, 0, None)
         ref = engine._counted_gradients(toy, EMPTY_DATA, p, 4, 9, (),
-                                        np.arange(0), None)
+                                        None, 0, None)
         assert (g_mu.tolist(), g_omega.tolist(), redraws) == \
             (ref[0].tolist(), ref[1].tolist(), 0)
         # a tape holds the leaf, the block's value and the density, one
@@ -786,6 +786,36 @@ class TestFit:
                                          eval_interval=2, elbo_samples=5,
                                          **settings))
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_the_full_data_is_read_at_slice_none(self, m):
+        # every call over all observations passes slice(None), so a
+        # model reads views of its data; a minibatch is a sorted array
+        model, data = small_zoo_instance("poisson_exponential")
+        seen = []
+
+        def loglik_term(values, d, idx):
+            seen.append(idx)
+            return model.loglik_term(values, d, idx)
+
+        recording = replace(model, loglik_term=loglik_term)
+        params = VariationalParams([0.2], [-0.4])
+        estimate_elbo(recording, data, params, 5, 0)
+        estimate_gradients(recording, data, params, m, 0)
+        log_joint_unconstrained(recording, data, [0.2])
+        fit(recording, data, FitConfig(max_iterations=2, eval_interval=1,
+                                       elbo_samples=3, grad_samples=m))
+        assert seen and all(type(idx) is slice and idx == slice(None)
+                            for idx in seen)
+        seen.clear()
+        fit(recording, data, FitConfig(max_iterations=2, eval_interval=2,
+                                       elbo_samples=3, grad_samples=m,
+                                       minibatch=2))
+        full = [idx for idx in seen if type(idx) is slice]
+        batches = [idx for idx in seen if type(idx) is not slice]
+        assert full == [slice(None)]  # the one objective estimate
+        assert len(batches) >= 2 and all(
+            len(idx) == 2 and idx[0] < idx[1] for idx in batches)
 
 
 class TestDrawPosterior:

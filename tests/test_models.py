@@ -15,7 +15,7 @@ from meanfield import transforms as tr
 from meanfield import zoo
 from meanfield.engine import VariationalParams, estimate_gradients
 from meanfield.errors import ConfigurationError, ShapeError
-from meanfield.model import Dataset, ModelDefinition, \
+from meanfield.model import Dataset, ModelDefinition, _joint, \
     log_joint_unconstrained, minibatch_log_joint, constrain_blocks
 from meanfield.transforms import BlockSpec, Identity, Interval, LowerBound, \
     PositiveOrdered, Simplex, UpperBound
@@ -466,6 +466,39 @@ def test_draw_axis_equals_per_draw_calls(name):
         assert prior[s] == model.log_prior(one, data)
         assert np.array_equal(lik[s], model.loglik_term(one, data, idx))
         assert joint[s] == log_joint_unconstrained(model, data, zeta[s])
+
+
+def _same_result(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_a_slice_index_gives_the_terms_of_its_index_array(name):
+    # the full data is slice(None): the terms, on 0, 1 and 2 draw axes,
+    # and the tape gradient of the joint have the bytes they have at
+    # arange(N), and slice(a, b) those at arange(a, b)
+    model, data = _small_instance(name)
+    n = model.num_observations(data)
+    keys = [(slice(None), np.arange(n)),
+            (slice(1, n - 2), np.arange(1, n - 2))]
+    rng = np.random.default_rng(11)
+    for lead in [(), (3,), (2, 3)]:
+        zeta = rng.normal(0.0, 0.8, lead + (model.dim,))
+        values, _ = constrain_blocks(model, zeta)
+        for key, idx in keys:
+            assert _same_result(model.loglik_term(values, data, key),
+                                model.loglik_term(values, data, idx)), \
+                (lead, key)
+        for key, idx in keys:
+            taped = []
+            for index in (key, idx):
+                g = ad.Graph()
+                leaf = g.leaf(zeta)
+                out = _joint(model, data, leaf, index, None)
+                taped.append((out.val, g.adjoints(out)[leaf.i]))
+            for got, want in zip(*taped):
+                assert _same_result(got, want), (lead, key)
 
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)

@@ -381,8 +381,8 @@ def _composed_simplex(zeta, draws):
     return theta, np.add.reduce(log_head - sp, axis=axes)
 
 
-@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (2, 3, 9)],
-                         ids=str)
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (2, 3, 9),
+                                   (2, 300, 4)], ids=str)
 def test_simplex_value_and_log_det_keep_the_composed_bits(shape):
     # float path and tape alike: the tape's value is the float path's
     rng = np.random.default_rng(len(shape))
@@ -395,6 +395,31 @@ def test_simplex_value_and_log_det_keep_the_composed_bits(shape):
         for e, f, t in zip(expected, got, taped):
             assert np.asarray(f).tobytes() == np.asarray(e).tobytes()
             assert np.asarray(t.val).tobytes() == np.asarray(e).tobytes()
+
+
+@pytest.mark.parametrize("rows", [255, 256, 600])
+@pytest.mark.parametrize("size", [2, 4, 8, 9])
+def test_simplex_stick_sums_by_slices_keep_numpys_bits(size, rows,
+                                                       monkeypatch):
+    # from 256 rows a stick sum over 2-7 entries adds the column slices;
+    # the value, the log-det, the partials and the inverse keep the bytes
+    # of numpy's cumsum over every row
+    rng = np.random.default_rng(rows + size)
+    zeta = rng.normal(0.0, 2.0, (rows, size - 1))
+    w = rng.normal(0.0, 1.0, (rows, size))
+    kind = tr.Simplex(size)
+
+    def stick_outputs():
+        leaf = ad.Graph().leaf(zeta)
+        theta, log_det = tr.constrain(kind, leaf)
+        (grad,) = ad.gradient(ad.sum(w * theta) + log_det, [leaf])
+        back = np.array(tr.unconstrain(kind, theta.val))
+        return [theta.val, np.asarray(log_det.val), grad, back]
+
+    by_slices = stick_outputs()
+    monkeypatch.setattr(ad, "_short_rows", lambda x, axis: False)
+    for got, want in zip(by_slices, stick_outputs()):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("saturated", [False, True],
