@@ -33,12 +33,16 @@ The structural operations on every tape's hot path, indexing,
 ``Var.reshape`` and :func:`sum`, push their own vjp through
 ``Graph._push``, without ``node``'s operand loop and unbroadcasting.
 
-A sum or maximum over a last axis of 2 to 7 entries (in :func:`sum`,
-:func:`dot` and :func:`log_sum_exp`, over 256 rows or more) combines the
-slices left to right, which is numpy's own order there, so the bits are
-``np.add.reduce``'s; a longer axis uses ``np.add.reduce``. A
-:func:`cumsum` over such an axis adds its slices the same way, with
-``np.cumsum``'s bits.
+Every reduction runs in C order. A sum or maximum over a last axis of 2
+to 7 entries (in :func:`sum`, :func:`dot` and :func:`log_sum_exp`, over
+256 rows or more) combines the slices left to right, which is numpy's
+own order there, so the bits are ``np.add.reduce``'s on a C array; any
+other reduction, and the sum of an adjoint over broadcast axes, reads a
+value of 2 or more axes as a C-contiguous array (a copy, when it is not
+one). A model may therefore lay out its data in whatever memory order
+makes its broadcasts fastest without changing a bit. A :func:`cumsum`
+over such a short axis adds its slices the same way, with
+``np.cumsum``'s bits (a cumulative sum is sequential in any layout).
 """
 
 from __future__ import annotations
@@ -250,11 +254,15 @@ def _any(cond) -> bool:
 
 def _unbroadcast(g, like):
     """Sum adjoint ``g`` over the axes that broadcasting added to the
-    shape of operand value ``like``."""
+    shape of operand value ``like``.
+
+    The sum runs in C order (see :func:`_c_order`), so the bits do not
+    depend on the memory layout of ``g``."""
     target = getattr(like, "shape", ())  # a Python float has none
     have = getattr(g, "shape", ())
     if have == target:
         return g
+    g = _c_order(g)
     extra = len(have) - len(target)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -445,21 +453,36 @@ def _short_rows(x, axis) -> bool:
             and x.dtype == np.float64)
 
 
-def _reduce(ufunc, x, axis):
-    """``ufunc.reduce(x, axis=axis)`` for np.add or np.maximum, combining
-    the slices left to right on the short rows of :func:`_short_rows`.
+def _c_order(x):
+    """``x``, or a C-contiguous copy of it when it is an array of 2 or more
+    axes that is not C-contiguous.
 
-    numpy reduces so short an axis in the same order (a sum from 0.0, so
-    that a row of -0.0 sums to +0.0), so the bits are the same; from 8
-    entries on numpy sums pairwise."""
+    numpy reduces along the innermost memory axis: pairwise from 8
+    entries on, and by adding whole slices one after another across an
+    outer axis. A reduction of the C copy runs in the order it runs for
+    C-ordered operands, whatever layout a model chose for its data."""
+    if type(x) is np.ndarray and x.ndim > 1 and not x.flags.c_contiguous:
+        return np.ascontiguousarray(x)
+    return x
+
+
+def _reduce(ufunc, x, axis):
+    """``ufunc.reduce(x, axis=axis)`` for np.add or np.maximum, in C order
+    (see :func:`_c_order`), combining the slices left to right on the
+    short rows of :func:`_short_rows`.
+
+    numpy reduces so short an axis of a C array in the same order (a sum
+    from 0.0, so that a row of -0.0 sums to +0.0), so the bits are the
+    same; from 8 entries on numpy sums pairwise. The slices are views in
+    the layout of ``x``, so each ufunc call runs along its innermost
+    memory axis, and the result keeps that layout."""
     if _short_rows(x, axis):
-        cols = x.reshape(-1, x.shape[-1])  # 1-D slices: numpy's fastest loops
-        out = cols[:, 0] + 0.0 if ufunc is np.add else cols[:, 0].copy()
+        out = x[..., 0] + 0.0 if ufunc is np.add else x[..., 0].copy("K")
         for k in range(1, x.shape[-1]):
-            ufunc(out, cols[:, k], out=out)
-        return out.reshape(x.shape[:-1])
+            ufunc(out, x[..., k], out=out)
+        return out
     # np.add.reduce is what np.sum calls, without its Python-level wrapper
-    return ufunc.reduce(x, axis=axis)
+    return ufunc.reduce(_c_order(x), axis=axis)
 
 
 def sum(x, axis=None):  # noqa: A001 - the tape's sum, as ``ad.sum``
@@ -548,6 +571,9 @@ def _cumsum(x, axis):
 
 
 def cumsum(x, axis=-1):
+    if type(x) is not Var:
+        return _cumsum(x, axis)  # the float path, without node's loop
+
     def partial(g):
         return np.flip(_cumsum(np.flip(g, axis), axis), axis)
 

@@ -195,9 +195,12 @@ def poisson(k, rate):
     if not _holds(r >= 0.0):
         raise DomainError(f"poisson: rate must be >= 0, got {np.min(r)}")
     inside = (0.0 < r) & (r < math.inf)
-    safe = np.where(inside, r, 1.0)
-    edge = np.where((r == 0.0) & (k == 0), 0.0, -math.inf)
-    out = np.where(inside, k * np.log(safe) - safe, edge)
+    if _holds(inside):  # every rate interior: the same bits, no where
+        out = k * np.log(r) - r
+    else:
+        safe = np.where(inside, r, 1.0)
+        edge = np.where((r == 0.0) & (k == 0), 0.0, -math.inf)
+        out = np.where(inside, k * np.log(safe) - safe, edge)
     # k / r - 1, with 0 / 0 read as 0 at count 0
     return ad.node((rate,), out - _log_factorial(k),
                    (lambda g: g * (k / np.where(k == 0, 1.0, r) - 1.0),))

@@ -672,3 +672,109 @@ def test_softplus_in_one_buffer_keeps_the_chains_result(v):
     assert type(got) is type(want) and got.dtype == want.dtype
     assert _same_bits(got, want)
     assert _same_bits(v, before)
+
+
+def _layouts(x):
+    """The values of C array ``x`` in other memory orders: Fortran order,
+    and each axis in turn innermost."""
+    yield np.asfortranarray(x)
+    for a in range(x.ndim - 1):
+        inner = np.ascontiguousarray(np.moveaxis(x, a, -1))
+        yield np.moveaxis(inner, -1, a)
+
+
+# last axes on both sides of numpy's 8-entry switch to pairwise sums, rows
+# on both sides of the 256-row floor of the sums by slices; an axis of 1
+# entry leaves a C array C-contiguous in every layout
+_LAYOUT_OUTER = [(7,), (255,), (256,), (3, 5), (4, 300), (2, 3, 50)]
+_LAYOUT_LAST_AXIS = range(2, 18)
+
+
+def _layout_reductions(x, y):
+    return [ad.sum(x, -1), ad.sum(x, 0), ad.sum(x, (-2, -1)), ad.sum(x),
+            ad.dot(x, y), ad.log_sum_exp(x, -1), ad.log_sum_exp(x, 0)]
+
+
+def test_reductions_do_not_depend_on_memory_layout():
+    # every reduction runs in C order, so a Fortran-order array, or one
+    # with any axis innermost, gives the bytes of its C copy
+    rng = np.random.default_rng(53)
+    with np.errstate(all="ignore"):  # inf - inf, exp of a NaN row's shift
+        for outer in _LAYOUT_OUTER:
+            for n in _LAYOUT_LAST_AXIS:
+                x = _rows(rng, outer, n)
+                y = _rows(rng, outer, n, special=False)
+                want = _layout_reductions(x, y)
+                for xl, yl in zip(_layouts(x), _layouts(y)):
+                    assert not xl.flags.c_contiguous
+                    for k, got in enumerate(_layout_reductions(xl, yl)):
+                        assert type(got) is type(want[k]) and \
+                            _same_bits(got, want[k]), (outer, n, k)
+
+
+def _taped_reductions(x, y):
+    """The values of a sum, a dot and a log-sum-exp of tape leaf ``x``,
+    and the gradient of a weighted total of all three."""
+    leaf = ad.Graph().leaf(x)
+    outs = [ad.sum(leaf, -1), ad.dot(leaf, y), ad.log_sum_exp(leaf, -1)]
+    d_x, = ad.gradient(ad.sum(ad.add(*[w * o for w, o in zip(
+        (1.0, -0.5, 2.0), outs)])), [leaf])
+    return [o.val for o in outs] + [d_x]
+
+
+def test_tape_reductions_do_not_depend_on_memory_layout():
+    # a leaf keeps the layout of its value
+    rng = np.random.default_rng(57)
+    for outer in _LAYOUT_OUTER:
+        for n in _LAYOUT_LAST_AXIS:
+            x, y = (_rows(rng, outer, n, special=False) for _ in "xy")
+            want = _taped_reductions(x, y)
+            for xl, yl in zip(_layouts(x), _layouts(y)):
+                assert not ad.Graph().leaf(xl).val.flags.c_contiguous
+                for k, got in enumerate(_taped_reductions(xl, yl)):
+                    assert _same_bits(got, want[k]), (outer, n, k)
+
+
+def _operand_shapes(shape):
+    """Shapes that broadcast to ``shape``: leading axes dropped, and each
+    axis of length 1."""
+    yield shape[1:]
+    yield shape[-1:]
+    for k in range(len(shape)):
+        yield shape[:k] + (1,) + shape[k + 1:]
+
+
+def test_unbroadcast_does_not_depend_on_memory_layout():
+    # an adjoint summed back to an operand's shape, over added axes and
+    # over axes of length 1, gives the same bytes in every layout
+    rng = np.random.default_rng(59)
+    for outer in _LAYOUT_OUTER:
+        for n in _LAYOUT_LAST_AXIS:
+            g = _rows(rng, outer, n, special=False)
+            for shape in _operand_shapes(g.shape):
+                like = np.zeros(shape)
+                want = ad._unbroadcast(g, like)
+                for gl in _layouts(g):
+                    assert _same_bits(ad._unbroadcast(gl, like), want), \
+                        (outer, n, shape)
+
+
+def test_broadcast_gradients_do_not_depend_on_the_datas_layout():
+    # a leaf broadcast against data, then reduced over the last axis by a
+    # log-sum-exp: the adjoint the node sums back to the leaf takes the
+    # data's layout, and the sum runs in C order
+    rng = np.random.default_rng(61)
+    for outer in _LAYOUT_OUTER:
+        for n in _LAYOUT_LAST_AXIS:
+            data = _rows(rng, outer, n, special=False)
+            for shape in _operand_shapes(data.shape):
+                w = rng.normal(0.0, 1.0, shape)
+
+                def grad(d):
+                    leaf = ad.Graph().leaf(w)
+                    out = ad.sum(ad.log_sum_exp(leaf + d, -1))
+                    return ad.gradient(out, [leaf])[0]
+
+                want = grad(data)
+                for dl in _layouts(data):
+                    assert _same_bits(grad(dl), want), (outer, n, shape)

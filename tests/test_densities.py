@@ -109,6 +109,54 @@ def test_poisson_at_rate_zero():
     assert ad.gradient(dens.poisson(0, leaf), [leaf]) == [-1.0]
 
 
+def _poisson_by_where(k, r):
+    # the boundary path: every rate through where, 0 and inf included
+    k = np.asarray(k)
+    inside = (0.0 < r) & (r < math.inf)
+    safe = np.where(inside, r, 1.0)
+    edge = np.where((r == 0.0) & (k == 0), 0.0, -math.inf)
+    out = np.where(inside, k * np.log(safe) - safe, edge)
+    return out - dens._log_factorial(k)
+
+
+def _same_bytes(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def test_poisson_interior_rates_keep_the_boundary_paths_bits():
+    # all rates in (0, inf) take the direct formula, any 0 or inf the
+    # where path; both give the same bytes on the interior
+    rng = np.random.default_rng(7)
+    k = rng.integers(0, 40, (3, 50))
+    r = rng.gamma(0.5, 4.0, (3, 50)) + 1e-300
+    cases = [(k, r), (k[0], r), (k, r[0]), (np.asarray(4), 2.5),
+             (np.asarray(0), np.float64(1e-300)), (7.0, 1e300)]
+    for kk, rr in cases:
+        assert _same_bytes(dens.poisson(kk, rr), _poisson_by_where(kk, rr))
+    edges = r.copy()
+    edges[0, :5] = 0.0
+    edges[1, :5] = math.inf
+    k[0, :2] = 0  # rate 0 at count 0 and at counts above 0
+    mixed = dens.poisson(k, edges)
+    assert _same_bytes(mixed, _poisson_by_where(k, edges))
+    inner = np.s_[:, 5:]
+    assert _same_bytes(mixed[inner], dens.poisson(k[inner], edges[inner]))
+    assert mixed[0, :2].tolist() == [0.0, 0.0]
+    assert (mixed[0, 2:5] == -math.inf).all()
+    assert (mixed[1, :5] == -math.inf).all()
+    for kk, rr in [(0, 0.0), (3, 0.0), (0, math.inf), (2, math.inf)]:
+        assert _same_bytes(dens.poisson(kk, rr), _poisson_by_where(kk, rr))
+    # the partial is the same on both paths: k / r - 1, and -1 at rate 0
+    # and count 0
+    zeros = r.copy()
+    zeros[0, :2] = 0.0
+    for rates in (r, zeros):
+        leaf = ad.Graph().leaf(rates)
+        d, = ad.gradient(ad.sum(dens.poisson(k, leaf)), [leaf])
+        assert _same_bytes(d, k / np.where(k == 0, 1.0, leaf.val) - 1.0)
+
+
 def _poisson_reference(k, rate):
     # the log mass term by term, log k! from math.lgamma of each count
     log_rate = np.log(rate)

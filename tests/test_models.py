@@ -11,6 +11,7 @@ import pytest
 
 import meanfield
 from meanfield import autodiff as ad
+from meanfield import densities as dens
 from meanfield import transforms as tr
 from meanfield import zoo
 from meanfield.engine import VariationalParams, estimate_gradients
@@ -499,6 +500,48 @@ def test_a_slice_index_gives_the_terms_of_its_index_array(name):
                 taped.append((out.val, g.adjoints(out)[leaf.i]))
             for got, want in zip(*taped):
                 assert _same_result(got, want), (lead, key)
+
+
+def _c_order_gmm_loglik(v, data, idx):
+    # gmm's likelihood over its data in C order, as numpy lays it out
+    y = data["y"][idx][..., None, :]
+    comps = (ad.log(zoo._each_point(v["theta"], 1))
+             + ad.sum(dens.normal(y, zoo._each_point(v["mu"], 2),
+                                  zoo._each_point(v["sigma"], 2)), axis=-1))
+    return ad.log_sum_exp(comps, axis=-1)
+
+
+@pytest.mark.parametrize("K, D", [(3, 2), (3, 9), (10, 2), (10, 9)])
+def test_gmm_likelihood_has_the_bits_of_c_ordered_data(K, D):
+    # whatever layout gmm gives its points, the terms on 0, 1 and 2 draw
+    # axes and the tape gradient of the joint keep the bytes of the
+    # C-order expression; 300 points put the sums by slices past their
+    # row floor, 5 points and one point leave them on numpy's reduce
+    rng = np.random.default_rng(100 * K + D)
+    data, _ = zoo.simulate_gmm(rng, 300, rng.normal(0.0, 2.0, (K, D)),
+                               sigma=0.7)
+    # a weak Dirichlet prior, so that the likelihood's share of the
+    # weights' gradient is not rounded away
+    model = zoo.model_for_data("gmm", data, {"K": K, "alpha0": 1.0,
+                                             "mu_sigma0": 2.0,
+                                             "sigma_sigma0": 1.0})
+    c_order = dataclasses.replace(model, loglik_term=_c_order_gmm_loglik)
+    keys = [slice(None), slice(7, 250), np.array([0, 3, 3, 120, 299]), 5]
+    for lead in [(), (3,), (2, 3)]:
+        zeta = rng.normal(0.0, 0.8, lead + (model.dim,))
+        values, _ = constrain_blocks(model, zeta)
+        for idx in keys:
+            assert _same_result(model.loglik_term(values, data, idx),
+                                c_order.loglik_term(values, data, idx)), \
+                (lead, idx)
+            taped = []
+            for m in (model, c_order):
+                g = ad.Graph()
+                leaf = g.leaf(zeta)
+                out = _joint(m, data, leaf, idx, None)
+                taped.append((out.val, g.adjoints(out)[leaf.i]))
+            for got, want in zip(*taped):
+                assert _same_result(got, want), (lead, idx)
 
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
