@@ -33,15 +33,16 @@ The structural operations on every tape's hot path, indexing,
 ``Var.reshape`` and :func:`sum`, push their own vjp through
 ``Graph._push``, without ``node``'s operand loop and unbroadcasting.
 
-Every reduction runs in C order. A sum or maximum over a last axis of 2
-to 7 entries (in :func:`sum`, :func:`dot` and :func:`log_sum_exp`, over
-256 rows or more) combines the slices left to right, which is numpy's
-own order there, so the bits are ``np.add.reduce``'s on a C array; any
-other reduction, and the sum of an adjoint over broadcast axes, reads a
-value of 2 or more axes as a C-contiguous array (a copy, when it is not
-one). A model may therefore lay out its data in whatever memory order
-makes its broadcasts fastest without changing a bit. A :func:`cumsum`
-over such a short axis adds its slices the same way, with
+A sum or maximum over a last axis of 2 to 7 entries (in :func:`sum`,
+:func:`dot` and :func:`log_sum_exp`, over 256 rows or more) combines the
+slices left to right, which is numpy's own order there, so the bits are
+``np.add.reduce``'s on a C array; a longer axis uses ``np.add.reduce``.
+A value whose last axis is not its innermost memory axis (Fortran order,
+a transpose) is reduced, and an adjoint of that layout is summed over
+broadcast axes, as its C-contiguous copy (see :func:`_c_order`), so in
+C order. A model may therefore put another axis innermost in memory, so
+that its broadcasts loop over that axis, without changing a bit. A
+:func:`cumsum` over such a short axis adds its slices the same way, with
 ``np.cumsum``'s bits (a cumulative sum is sequential in any layout).
 """
 
@@ -256,8 +257,9 @@ def _unbroadcast(g, like):
     """Sum adjoint ``g`` over the axes that broadcasting added to the
     shape of operand value ``like``.
 
-    The sum runs in C order (see :func:`_c_order`), so the bits do not
-    depend on the memory layout of ``g``."""
+    The sum runs in C order when another axis of ``g`` is innermost in
+    memory (see :func:`_c_order`), so that layout does not change the
+    bits."""
     target = getattr(like, "shape", ())  # a Python float has none
     have = getattr(g, "shape", ())
     if have == target:
@@ -455,21 +457,25 @@ def _short_rows(x, axis) -> bool:
 
 def _c_order(x):
     """``x``, or a C-contiguous copy of it when it is an array of 2 or more
-    axes that is not C-contiguous.
+    axes whose last axis steps over more than one entry in memory.
 
     numpy reduces along the innermost memory axis: pairwise from 8
     entries on, and by adding whole slices one after another across an
-    outer axis. A reduction of the C copy runs in the order it runs for
-    C-ordered operands, whatever layout a model chose for its data."""
-    if type(x) is np.ndarray and x.ndim > 1 and not x.flags.c_contiguous:
+    outer axis. On an array with another axis innermost (Fortran order, a
+    transpose) that is a different order from C's, so such an array is
+    reduced as its C copy. A C array, a view of one with a step of 1 or
+    -1 along its last axis, and a broadcast view reduce as numpy reduces
+    them."""
+    if type(x) is np.ndarray and x.ndim > 1 and x.strides[-1] > x.itemsize:
         return np.ascontiguousarray(x)
     return x
 
 
 def _reduce(ufunc, x, axis):
     """``ufunc.reduce(x, axis=axis)`` for np.add or np.maximum, in C order
-    (see :func:`_c_order`), combining the slices left to right on the
-    short rows of :func:`_short_rows`.
+    when another axis of ``x`` is innermost (see :func:`_c_order`),
+    combining the slices left to right on the short rows of
+    :func:`_short_rows`.
 
     numpy reduces so short an axis of a C array in the same order (a sum
     from 0.0, so that a row of -0.0 sums to +0.0), so the bits are the

@@ -219,7 +219,6 @@ def _build_dirichlet_exponential_nmf(*, U, I, K=10, alpha0=1000.0,
 def _build_gmm(*, K=10, D, alpha0=10000.0, mu_sigma0=0.1,
                sigma_sigma0=0.1):
     alpha_vec = np.full(K, alpha0)
-    points_innermost = K < 8 and D < 8  # see loglik
 
     def log_prior(v, data):
         return (dens.dirichlet(v["theta"], alpha_vec)
@@ -232,13 +231,9 @@ def _build_gmm(*, K=10, D, alpha0=10000.0, mu_sigma0=0.1,
         # plus the diagonal normal density, log-sum-exp over k. numpy runs
         # a ufunc's inner loop along its operands' innermost memory axis,
         # so with y in Fortran order the normal and both reductions loop
-        # over the points, not over D entries. Every reduction runs in C
-        # order, so the bits are those of C-ordered data; one over 8 or
-        # more entries pays a copy for that, hence the gate on K and D
-        y = data["y"][idx]
-        if points_innermost:
-            y = np.asfortranarray(y)
-        y = y[..., None, :]
+        # over the points, not over D entries. autodiff reduces such a
+        # layout in C order, so the bits are those of C-ordered data
+        y = np.asfortranarray(data["y"][idx])[..., None, :]
         comps = (ad.log(_each_point(v["theta"], 1))
                  + ad.sum(dens.normal(y, _each_point(v["mu"], 2),
                                       _each_point(v["sigma"], 2)), axis=-1))

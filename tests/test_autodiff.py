@@ -778,3 +778,42 @@ def test_broadcast_gradients_do_not_depend_on_the_datas_layout():
                 want = grad(data)
                 for dl in _layouts(data):
                     assert _same_bits(grad(dl), want), (outer, n, shape)
+
+
+def _adjacent_last_axis_views(x):
+    """Views of C array ``x`` whose last axis keeps its entries adjacent or
+    repeated in memory: slices, reversed and broadcast views, and, with 3
+    or more axes, the outer two axes swapped in memory."""
+    yield x[1:]
+    yield x[..., 1:]
+    yield x[::-1]
+    yield x[..., ::-1]
+    yield np.broadcast_to(x[:1], x.shape)
+    yield np.broadcast_to(x[..., :1], x.shape)
+    if x.ndim > 2:
+        yield np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 0, 1)), 0, 1)
+
+
+def test_views_with_an_adjacent_last_axis_reduce_as_numpy_does():
+    # only a layout with another axis innermost is reduced as a C copy: a
+    # view that keeps its last axis adjacent keeps the bytes of numpy's
+    # own reduction of it, which a C copy would change for some of them
+    rng = np.random.default_rng(67)
+    for outer in _LAYOUT_OUTER:
+        for n in _LAYOUT_LAST_AXIS:
+            x = _rows(rng, outer, n, special=False)
+            for v in _adjacent_last_axis_views(x):
+                every = tuple(range(v.ndim))
+                for axis in [None, 0, -1, (-2, -1), every[1:], every]:
+                    want = np.add.reduce(v, axis=axis)
+                    assert _same_bits(ad.sum(v, axis), want), \
+                        (outer, n, v.strides, axis)
+                for shape in _operand_shapes(v.shape):
+                    extra = v.ndim - len(shape)
+                    want = v.sum(axis=tuple(range(extra)))
+                    axes = tuple(k for k, m in enumerate(shape)
+                                 if m == 1 and want.shape[k] != 1)
+                    if axes:
+                        want = want.sum(axis=axes, keepdims=True)
+                    got = ad._unbroadcast(v, np.zeros(shape))
+                    assert _same_bits(got, want), (outer, n, shape)

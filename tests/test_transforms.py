@@ -422,6 +422,25 @@ def test_simplex_stick_sums_by_slices_keep_numpys_bits(size, rows,
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 3, 40, 300])
+@pytest.mark.parametrize("size", [2, 3, 8, 9, 12])
+def test_ordered_log_det_keeps_numpys_bits_on_its_view(size, rows):
+    # Ordered's log-det sums the view zeta[..., 1:], which is not
+    # C-contiguous, over a block's rows and entries: on 0, 1 and 2 draw
+    # axes, float path and tape, the bytes of numpy's own reduction of it
+    rng = np.random.default_rng(rows * size)
+    kind = tr.Ordered(size)
+    for lead in [(), (4,), (2, 3)]:
+        zeta = rng.normal(0.0, 1.0, lead + (rows, size)) * 10.0 ** \
+            rng.integers(-12, 2, lead + (rows, size))
+        axes = tuple(range(len(lead), zeta.ndim)) if lead else None
+        want = np.add.reduce(zeta[..., 1:], axis=axes)
+        _, log_det = tr.constrain(kind, zeta, len(lead))
+        _, taped = tr.constrain(kind, ad.Graph().leaf(zeta), len(lead))
+        for got in (log_det, taped.val):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @pytest.mark.parametrize("saturated", [False, True],
                          ids=["moderate", "saturated"])
 @pytest.mark.parametrize("size", [2, 3, 10])
