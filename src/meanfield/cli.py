@@ -139,42 +139,38 @@ def main(argv=None) -> int:
         report = None
         if heldout is not None:
             report = heldout_log_predictive(model, draws, heldout)
+        wall_seconds = time.perf_counter() - wall_start
+        details = {
+            "iterations_run": trace.rows[-1][0] if trace.rows else 0,
+            "omega_clamp_events": trace.clamp_events,
+            "elbo_draws_dropped": trace.elbo_draws_dropped,
+            "gradient_redraws": trace.gradient_redraws,
+            "posterior_draws": args.draws,
+            "unconstrained_dim": model.dim,
+        }
+        if report is not None:
+            details["heldout"] = asdict(report)
+        manifest = RunManifest(
+            model=args.model,
+            hyperparams=dict(model.hyperparams),
+            config=asdict(config),
+            seed=args.seed,
+            input_paths={"data": str(args.data),
+                         "heldout": str(args.heldout) if args.heldout
+                         else None},
+            output_paths={"samples": str(args.output),
+                          "diagnostics": str(args.diagnostic),
+                          "manifest": str(manifest_path)},
+            timings={"wall_seconds": wall_seconds,
+                     "optimize_wall_seconds": trace.wall_time_s},
+            details=details,
+        )
+        write_outputs(draws, trace, manifest, args.output, args.diagnostic,
+                      manifest_path)
     except EvaluationFailure as exc:
         print(f"evaluation failure: {exc}", file=sys.stderr)
         return EVALUATION_ERROR
     except (ConfigurationError, ShapeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    wall_seconds = time.perf_counter() - wall_start
-
-    details = {
-        "iterations_run": trace.rows[-1][0] if trace.rows else 0,
-        "omega_clamp_events": trace.clamp_events,
-        "elbo_draws_dropped": trace.elbo_draws_dropped,
-        "gradient_redraws": trace.gradient_redraws,
-        "posterior_draws": args.draws,
-        "unconstrained_dim": model.dim,
-    }
-    if report is not None:
-        details["heldout"] = asdict(report)
-    manifest = RunManifest(
-        model=args.model,
-        hyperparams=dict(model.hyperparams),
-        config=asdict(config),
-        seed=args.seed,
-        input_paths={"data": str(args.data),
-                     "heldout": str(args.heldout) if args.heldout else None},
-        output_paths={"samples": str(args.output),
-                      "diagnostics": str(args.diagnostic),
-                      "manifest": str(manifest_path)},
-        timings={"wall_seconds": wall_seconds,
-                 "optimize_wall_seconds": trace.wall_time_s},
-        details=details,
-    )
-    try:
-        write_outputs(draws, trace, manifest, args.output, args.diagnostic,
-                      manifest_path)
-    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

@@ -17,13 +17,12 @@ Every generator comes from :func:`substream`, at a named position
 other draws or on how they are chunked. Outputs repeat bit for bit for a
 given version, seed, numpy build and SIMD dispatch level: numpy's exp and
 log loops round differently at each level.
-``fit`` picks the observations once, ``slice(None)`` (all of them) per fit
-or a sorted batch per iteration, and silences floating-point warnings for
-its whole loop. Every evaluation over the full data (``fit``'s objective
-estimates, and its gradients without a minibatch; :func:`estimate_elbo`;
-:func:`estimate_gradients` without a batch) passes ``idx = slice(None)``,
-so a model reads views of its data; the point count that bounds a chunk
-of draws comes from ``model.num_observations``, called once per fit.
+Every evaluation takes its observations from ``model._observations``:
+``idx = slice(None)`` for all of them, so a model reads views of its
+data, or a batch's checked index array with its N/B scale, and the point
+count that bounds a chunk of draws. ``fit`` calls it once, draws a sorted
+batch per iteration with ``minibatch`` set, and silences floating-point
+warnings for its whole loop.
 
 The trace's elapsed_ms column is a deterministic work clock: cumulative
 array elements produced by the gradient tapes (the sizes of every tape
@@ -51,8 +50,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError, DomainError, EvaluationFailure, \
     ShapeError
-from .model import Dataset, ModelDefinition, _all_observations, \
-    _batch_index, _joint, _prior_part, constrain_blocks, draw_chunks
+from .model import Dataset, ModelDefinition, _joint, _observations, \
+    _prior_part, constrain_blocks, draw_chunks
 
 __all__ = [
     "VariationalParams", "FitConfig", "OptState", "ElboTrace",
@@ -238,10 +237,9 @@ def _entropy(params: VariationalParams) -> float:
         float(np.sum(params.omega))
 
 
-def _elbo_and_drops(model, data, params, n_samples, rng, n_obs):
-    """:func:`estimate_elbo` over all ``n_obs`` observations, and its
-    drops."""
-    idx = _all_observations(n_obs)
+def _elbo_and_drops(model, data, params, n_samples, rng, idx, n_obs):
+    """:func:`estimate_elbo` over the ``n_obs`` observations ``idx``, and
+    its drops."""
     _check_count("n_samples", n_samples, 1)
     gen = _generator(rng)
     # one value per draw; NaN marks a draw out of the domain
@@ -262,7 +260,7 @@ def _elbo_and_drops(model, data, params, n_samples, rng, n_obs):
         else:  # a constant prior broadcasts; the likelihood is chunked
             chunks = draw_chunks(lambda k: ad.sum(model.loglik_term(
                 {name: v[k] for name, v in values.items()}, data, idx), -1),
-                n_samples, n_obs) if n_obs else ()
+                n_samples, n_obs) if idx is not None else ()
             for k, lik in chunks:
                 joints[k] = math.nan if lik is None else joints[k] + lik
     kept = joints[np.isfinite(joints)].tolist()
@@ -290,8 +288,9 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
     :class:`EvaluationFailure`.
     """
-    return _elbo_and_drops(model, data, params, n_samples, rng,
-                           model.num_observations(data))[0]
+    idx, n_obs, _ = _observations(model, data)
+    return _elbo_and_drops(model, data, params, n_samples, rng, idx,
+                           n_obs)[0]
 
 
 def _gradient_sample(model, data, zeta, idx, scale, clock):
@@ -393,12 +392,7 @@ def estimate_gradients(model: ModelDefinition, data: Dataset,
         seed, path = rng.entropy, tuple(rng.spawn_key)
     else:
         seed, path = _check_seed("rng", rng), ()
-    if batch is None:
-        points = model.num_observations(data)
-        idx, scale = _all_observations(points), None
-    else:
-        idx, scale = _batch_index(model, data, batch)
-        points = len(idx)
+    idx, points, scale = _observations(model, data, batch)
     g_mu, g_omega, _, _ = _counted_gradients(model, data, params, m, seed,
                                              path, idx, points, scale)
     return g_mu, g_omega
@@ -458,12 +452,12 @@ def fit(model: ModelDefinition, data: Dataset,
     through the N/B-scaled joint. Floating-point warnings are silenced for
     the whole loop: an overflowing draw is redrawn or dropped, not reported.
     """
-    n_obs = model.num_observations(data)
-    if config.minibatch is not None and config.minibatch > n_obs:
-        raise ConfigurationError(
-            f"minibatch {config.minibatch} exceeds {n_obs} observations")
-    idx, points, scale = _all_observations(n_obs), n_obs, None
+    full, n_obs, scale = _observations(model, data)
+    idx, points = full, n_obs
     if config.minibatch is not None:
+        if config.minibatch > n_obs:
+            raise ConfigurationError(
+                f"minibatch {config.minibatch} exceeds {n_obs} observations")
         points, scale = config.minibatch, n_obs / config.minibatch
     params = _initial_params(model.dim, config)
     trace = ElboTrace()
@@ -489,7 +483,7 @@ def fit(model: ModelDefinition, data: Dataset,
                 if (i + 1) % config.eval_interval == 0:
                     elbo, dropped = _elbo_and_drops(
                         model, data, params, config.elbo_samples,
-                        substream(config.seed, STREAM_ELBO, i), n_obs)
+                        substream(config.seed, STREAM_ELBO, i), full, n_obs)
                     trace.elbo_draws_dropped += dropped
                     trace.append(i + 1, work_elements / _ELEMENTS_PER_MS,
                                  elbo)

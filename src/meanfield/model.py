@@ -14,13 +14,14 @@ expressions that accept float arrays or tape values alike, which is what
 makes the same model definition usable for gradient evaluation, tape-free
 objective estimates, and held-out scoring. The likelihood of a whole batch
 is one call: ``loglik_term(values, data, idx)`` with ``idx`` a slice or a
-1-D integer index array returns one term per observation it picks; with
-an int ``idx`` it returns that single term. The full data is
-``slice(None)``, at which a model reads views of its data, not copies; a
-minibatch is a sorted index array; a model that needs integer positions
-converts with ``np.arange(n)[idx]``, which takes an int, a slice and an
-array. (Held-out scoring passes ``arange`` blocks of points, which it
-reports by position.) The likelihood is the sum of those terms, so
+1-D integer index array returns one term per observation it picks; with an
+int ``idx`` it returns that single term. ``_observations`` picks them for
+every joint: the full data is ``slice(None)``, at which a model reads
+views of its data, not copies; a minibatch is its index array, the
+likelihood scaled by N/B. A model that needs integer positions converts
+with ``np.arange(n)[idx]``, which takes an int, a slice and an array.
+(Held-out scoring passes ``arange`` blocks of points, which it reports by
+position.) The likelihood is the sum of those terms, so
 :func:`minibatch_log_joint` can subsample any model. Both call one joint,
 ``_joint(model, data, zeta, idx, scale)``, which the engine's gradient
 tapes call directly. ``_joint`` adds the likelihood to
@@ -280,10 +281,27 @@ def _prior_part(model, data, zeta):
     return values, out if log_det is None else out + log_det
 
 
-def _all_observations(n: int):
-    """The index of all ``n`` observations: ``slice(None)``, at which a
-    model reads views of its data entries, or None when there are none."""
-    return slice(None) if n else None
+def _observations(model: ModelDefinition, data: Dataset, batch=None):
+    """``(idx, points, scale)`` of the observations an evaluation reads:
+    ``slice(None)`` (None if there are none), their count and no scale, or
+    the checked index array of ``batch``, its length and N/B."""
+    total = model.num_observations(data)
+    if batch is None:
+        return slice(None) if total else None, total, None
+    idx = np.asarray(batch)
+    if idx.size == 0:
+        raise ConfigurationError("minibatch is empty")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"minibatch must be a list of indices, got {batch!r}")
+    if len(idx) > total:
+        raise ConfigurationError(
+            f"minibatch size {len(idx)} exceeds {total} observations")
+    outside = idx[(idx < 0) | (idx >= total)]
+    if outside.size:
+        raise ConfigurationError(
+            f"minibatch index {outside[0]} outside [0, {total})")
+    return idx, len(idx), total / len(idx)
 
 
 def _joint(model, data, zeta, idx, scale):
@@ -307,27 +325,8 @@ def log_joint_unconstrained(model: ModelDefinition, data: Dataset, zeta):
     non-finite result is returned as-is (numpy may warn of the overflow):
     policy on failed evaluations belongs to the caller.
     """
-    return _joint(model, data, zeta,
-                  _all_observations(model.num_observations(data)), None)
-
-
-def _batch_index(model: ModelDefinition, data: Dataset, batch):
-    """The checked index array of ``batch`` and its N/B likelihood scale."""
-    total = model.num_observations(data)
-    idx = np.asarray(batch)
-    if idx.size == 0:
-        raise ConfigurationError("minibatch is empty")
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ConfigurationError(
-            f"minibatch must be a list of indices, got {batch!r}")
-    if len(idx) > total:
-        raise ConfigurationError(
-            f"minibatch size {len(idx)} exceeds {total} observations")
-    outside = idx[(idx < 0) | (idx >= total)]
-    if outside.size:
-        raise ConfigurationError(
-            f"minibatch index {outside[0]} outside [0, {total})")
-    return idx, total / len(idx)
+    idx, _, scale = _observations(model, data)
+    return _joint(model, data, zeta, idx, scale)
 
 
 def minibatch_log_joint(model: ModelDefinition, data: Dataset,
@@ -337,7 +336,8 @@ def minibatch_log_joint(model: ModelDefinition, data: Dataset,
     Scaling the batch likelihood by N/B makes the result an unbiased
     estimate of the full-data log joint under uniformly drawn batches.
     """
-    return _joint(model, data, zeta, *_batch_index(model, data, batch))
+    idx, _, scale = _observations(model, data, batch)
+    return _joint(model, data, zeta, idx, scale)
 
 
 def draw_chunks(score: Callable[[Any], Any], num_draws: int, points: int):

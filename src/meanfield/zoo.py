@@ -48,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import densities as dens
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 from .model import Dataset, ModelDefinition
 from .transforms import BlockSpec, Identity, Interval, LowerBound, \
     PositiveOrdered, Simplex
@@ -69,6 +69,18 @@ def _each_point(x, core=0):
     if lead == 0:
         return x
     return x.reshape(shape[:lead] + (1,) + shape[lead:])
+
+
+def _shared_length(data, *names):
+    """The length of the per-point entries ``names``, which must agree: a
+    likelihood reads them at ``slice(None)``, which takes a short entry
+    whole, and numpy broadcasts a one-row entry against the others."""
+    n = len(data[names[0]])
+    for name in names[1:]:
+        if len(data[name]) != n:
+            raise ShapeError(f"dataset entry {name!r} has length "
+                             f"{len(data[name])}, {names[0]!r} has {n}")
+    return n
 
 
 def _build_poisson_exponential(*, rate=1.0):
@@ -109,7 +121,7 @@ def _build_linreg_ard(*, D, a0=1.0, b0=1.0, c0=1.0, d0=1.0):
         ),
         log_prior=log_prior,
         loglik_term=loglik,
-        num_observations=lambda data: len(data["y"]),
+        num_observations=lambda data: _shared_length(data, "y", "x"),
     )
 
 
@@ -153,7 +165,9 @@ def _build_hier_logistic(*, n_age, n_edu, n_age_edu, n_state, n_region_full):
         blocks=blocks,
         log_prior=log_prior,
         loglik_term=loglik,
-        num_observations=lambda data: len(data["y"]),
+        num_observations=lambda data: _shared_length(
+            data, "y", "female", "black", "v_prev_full",
+            *_HIER_INDEX.values()),
     )
 
 

@@ -817,3 +817,32 @@ def test_views_with_an_adjacent_last_axis_reduce_as_numpy_does():
                         want = want.sum(axis=axes, keepdims=True)
                     got = ad._unbroadcast(v, np.zeros(shape))
                     assert _same_bits(got, want), (outer, n, shape)
+
+
+def test_adjoints_reject_an_output_of_another_graph():
+    out = ad.Graph().leaf(np.array([1.0, 2.0])) * 2.0
+    with pytest.raises(ValueError, match="does not belong to this graph"):
+        ad.Graph().adjoints(out)
+
+
+@pytest.mark.parametrize("op, value, grad", [
+    (lambda c, x: c - x, -1.0, -1.0),
+    (lambda c, x: c / x, 2.0 / 3.0, -2.0 / 9.0),
+], ids=["float_minus_var", "float_over_var"])
+def test_a_float_on_the_left_of_a_var(op, value, grad):
+    g = ad.Graph()
+    x = g.leaf(3.0)
+    out = op(2.0, x)
+    assert out.val == pytest.approx(value, rel=1e-15)
+    assert g.adjoints(out)[x.i] == pytest.approx(grad, rel=1e-15)
+
+
+def test_take_of_a_list_indexes_it_as_numpy_does():
+    assert ad.take([[1.0, 2.0], [3.0, 4.0]], 1).tolist() == [2.0, 4.0]
+    assert ad.take([5.0, 6.0, 7.0], [2, 0]).tolist() == [7.0, 5.0]
+
+
+def test_var_repr_names_its_node_and_value():
+    g = ad.Graph()
+    g.leaf(1.0)
+    assert repr(g.leaf(2.5) + 1.0) == f"Var(node=2, val={np.float64(3.5)!r})"

@@ -142,6 +142,12 @@ def test_minibatch_larger_than_data_exits_2(poisson_files, capsys):
     assert main(_argv(poisson_files, "--minibatch", "99")) == 2
 
 
+def test_output_in_a_missing_directory_exits_2(poisson_files, capsys):
+    poisson_files["output"] = poisson_files["data"].parent / "no" / "s.csv"
+    assert main(_argv(poisson_files, "--max-iters", "5")) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_evaluation_failure_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(0)
     data, _ = zoo.simulate_gmm(rng, 10, [[0.0], [1.0]], sigma=0.6)
@@ -303,8 +309,9 @@ def _hier_age_out_of_range():
      ("--hyper", "D=3")),
     ("hier_logistic", _hier_age_out_of_range(), ()),
     ("linreg_ard", {"x": [[1.0, 2.0]], "y": 3.0}, ()),
+    ("linreg_ard", {"x": [[1.0, 2.0]], "y": [1.0, 2.0]}, ()),
 ], ids=["linreg_ard_too_few_columns", "hier_logistic_index_out_of_range",
-        "linreg_ard_zero_dimensional_y"])
+        "linreg_ard_zero_dimensional_y", "linreg_ard_one_row_x"])
 def test_training_data_the_model_cannot_take_exits_2_before_fitting(
         tmp_path, capsys, monkeypatch, model, entries, extra):
     monkeypatch.setattr(cli, "fit", _no_fit)

@@ -433,3 +433,16 @@ def test_bernoulli_logit_negates_its_own_softplus(y, logit):
     assert type(got) is type(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert np.asarray(logit).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dens.dirichlet([0.5, 0.5], [1.0, 1.0, 1.0]),
+     r"dirichlet: need matching vectors of length >= 2, got \(2,\)/\(3,\)"),
+    (lambda: dens.uniform(0.5, 1.0, 1.0),
+     "uniform: need lower < upper, got 1.0, 1.0"),
+    (lambda: dens.uniform(0.5, 2.0, 1.0),
+     "uniform: need lower < upper, got 2.0, 1.0"),
+], ids=["dirichlet_lengths", "uniform_equal_bounds", "uniform_reversed"])
+def test_arguments_that_do_not_fit_the_density_are_rejected(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()

@@ -10,8 +10,8 @@ from meanfield import densities as dens
 from meanfield import engine
 from meanfield import model as model_module
 from meanfield import zoo
-from meanfield.engine import FitConfig, OptState, VariationalParams, \
-    adagrad_step, draw_posterior, estimate_elbo, estimate_gradients, fit, \
+from meanfield.engine import ElboTrace, FitConfig, OptState, \
+    VariationalParams, adagrad_step, draw_posterior, estimate_elbo, estimate_gradients, fit, \
     inverse_standardize, substream
 from meanfield.errors import ConfigurationError, DomainError, \
     EvaluationFailure, ShapeError
@@ -924,3 +924,30 @@ def test_draw_counts_are_checked_as_fit_config_counts(call, name):
                                  f"got {value!r}"):
             call(toy, p, value)
     call(toy, p, np.int64(2))
+
+
+def _trace_after_iteration_3():
+    trace = ElboTrace()
+    trace.append(3, 0.0, -1.0)
+    return trace
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: VariationalParams([0.0, 1.0], [0.0]), ShapeError,
+     "mu and omega must be equal-length vectors"),
+    (lambda: VariationalParams([0.0, math.inf], [0.0, 0.0]), ValueError,
+     "variational parameters must be finite"),
+    (lambda: VariationalParams([0.0], [math.nan]), ValueError,
+     "variational parameters must be finite"),
+    (lambda: _trace_after_iteration_3().append(3, 1.0, -0.5), ValueError,
+     "trace iterations must be strictly increasing"),
+    (lambda: _trace_after_iteration_3().append(2, 1.0, -0.5), ValueError,
+     "trace iterations must be strictly increasing"),
+    (lambda: draw_posterior(gaussian_toy(), VariationalParams(
+        [0.0, 0.0], [0.0, 0.0]), 3, 0), ShapeError,
+     "params have dim 2, model needs 1"),
+], ids=["params_lengths", "params_inf", "params_nan", "trace_repeat",
+        "trace_back", "posterior_dim"])
+def test_inputs_the_engine_cannot_take_are_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -17,7 +17,8 @@ from meanfield import densities as dens
 from meanfield import evaluate, model as model_module, zoo
 from meanfield.engine import PosteriorDraws, VariationalParams, \
     draw_posterior, ElboTrace
-from meanfield.errors import ConfigurationError, DomainError, ShapeError
+from meanfield.errors import ConfigurationError, DomainError, \
+    EvaluationFailure, ShapeError
 from meanfield.evaluate import heldout_log_predictive
 from meanfield.io import RunManifest, load_dataset, write_diagnostics_csv, \
     write_manifest, write_samples_csv
@@ -285,6 +286,27 @@ class TestHeldoutLogPredictive:
         model, draws = _poisson_draws([1.0])
         with pytest.raises(ConfigurationError):
             heldout_log_predictive(model, draws, Dataset({"x": []}))
+
+    def test_zero_draws_rejected(self):
+        model, draws = _poisson_draws([])
+        with pytest.raises(ConfigurationError,
+                           match="^need at least one posterior draw$"):
+            heldout_log_predictive(model, draws, Dataset({"x": [2]}))
+
+    @pytest.mark.parametrize("rates", [[1.0], [1.0, 2.0, 0.5]],
+                             ids=["one_draw", "three_draws"])
+    def test_a_nan_likelihood_is_an_evaluation_failure(self, rates):
+        model, draws = _poisson_draws(rates)
+
+        def loglik(values, data, idx):
+            terms = model.loglik_term(values, data, idx)
+            return np.where(data["x"][idx] == 7, math.nan, terms)
+
+        nan_at_7 = dataclasses.replace(model, loglik_term=loglik)
+        with pytest.raises(EvaluationFailure,
+                           match="^NaN likelihood at point 2$"):
+            heldout_log_predictive(nan_at_7, draws,
+                                   Dataset({"x": [2, 3, 7, 1]}))
 
 
 # entries that are not int or float arrays of at most two axes, with the

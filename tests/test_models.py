@@ -14,7 +14,8 @@ from meanfield import autodiff as ad
 from meanfield import densities as dens
 from meanfield import transforms as tr
 from meanfield import zoo
-from meanfield.engine import VariationalParams, estimate_gradients
+from meanfield.engine import FitConfig, VariationalParams, estimate_elbo, \
+    estimate_gradients, fit
 from meanfield.errors import ConfigurationError, ShapeError
 from meanfield.model import Dataset, ModelDefinition, _joint, \
     log_joint_unconstrained, minibatch_log_joint, constrain_blocks
@@ -596,6 +597,35 @@ def test_minibatch_validation(call, batch, message):
         call(m, data, batch)
 
 
+# the entries with one row per observation, after the one that counts them
+_PER_POINT = {
+    "linreg_ard": ("x",),
+    "hier_logistic": ("female", "black", "v_prev_full", "age", "edu",
+                      "age_edu", "state", "region_full"),
+}
+
+
+@pytest.mark.parametrize("name, entry", [
+    (name, entry) for name, entries in _PER_POINT.items()
+    for entry in entries])
+@pytest.mark.parametrize("call", [
+    lambda m, data: log_joint_unconstrained(m, data, np.full(m.dim, 0.3)),
+    lambda m, data: estimate_elbo(m, data, VariationalParams(
+        np.zeros(m.dim), np.zeros(m.dim)), 3, 0),
+    lambda m, data: fit(m, data, FitConfig(max_iterations=20,
+                                           eval_interval=10)),
+], ids=["log_joint_unconstrained", "estimate_elbo", "fit"])
+def test_a_short_per_point_entry_is_rejected(call, name, entry):
+    # the full data is read at slice(None), which takes a one-row entry
+    # whole, and numpy would broadcast it against the other entries
+    model, data = _small_instance(name)
+    short = Dataset({**data.entries, entry: data[entry][:1]})
+    n = len(data["y"])
+    with pytest.raises(ShapeError, match=(
+            f"^dataset entry '{entry}' has length 1, 'y' has {n}$")):
+        call(model, short)
+
+
 def test_log_joint_invariant_to_block_order():
     model, data = _small_instance("gmm")
     rng = np.random.default_rng(11)
@@ -651,6 +681,19 @@ def test_hier_logistic_size_given_as_a_row_rejected():
     with pytest.raises(ConfigurationError,
                        match="n_state must be one integer"):
         zoo.model_for_data("hier_logistic", Dataset(entries), {})
+
+
+def test_block_of_an_unknown_name_is_a_key_error():
+    model = zoo.make_model("poisson_exponential")
+    assert model.block("lam").name == "lam"
+    with pytest.raises(KeyError, match="nosuch"):
+        model.block("nosuch")
+
+
+def test_make_model_rejects_a_dimension_below_1():
+    with pytest.raises(ConfigurationError,
+                       match="^model gmm: dimension K must be >= 1, got 0$"):
+        zoo.make_model("gmm", dims={"K": 0, "D": 2})
 
 
 def test_duplicate_block_names_rejected():
