@@ -41,9 +41,7 @@ A value whose last axis is not its innermost memory axis (Fortran order,
 a transpose) is reduced, and an adjoint of that layout is summed over
 broadcast axes, as its C-contiguous copy (see :func:`_c_order`), so in
 C order. A model may therefore put another axis innermost in memory, so
-that its broadcasts loop over that axis, without changing a bit. A
-:func:`cumsum` over such a short axis adds its slices the same way, with
-``np.cumsum``'s bits (a cumulative sum is sequential in any layout).
+that its broadcasts loop over that axis, without changing a bit.
 """
 
 from __future__ import annotations
@@ -443,18 +441,6 @@ def log_gamma(x):
 
 # -- reductions and structure -------------------------------------------------
 
-def _short_rows(x, axis) -> bool:
-    """Whether ``axis`` is the last axis of a float64 array of 2 or more
-    axes, and it holds 2 to 7 entries in each of 256 rows or more.
-
-    numpy runs a separate loop for every row of so short an axis; a ufunc
-    call per 1-D slice of the axis costs less, in the same order. Below
-    256 rows numpy's loops cost less than a call per slice."""
-    return (axis == -1 and type(x) is np.ndarray and x.ndim > 1
-            and 2 <= x.shape[-1] < 8 and x.size >= 256 * x.shape[-1]
-            and x.dtype == np.float64)
-
-
 def _c_order(x):
     """``x``, or a C-contiguous copy of it when it is an array of 2 or more
     axes whose last axis steps over more than one entry in memory.
@@ -473,16 +459,21 @@ def _c_order(x):
 
 def _reduce(ufunc, x, axis):
     """``ufunc.reduce(x, axis=axis)`` for np.add or np.maximum, in C order
-    when another axis of ``x`` is innermost (see :func:`_c_order`),
-    combining the slices left to right on the short rows of
-    :func:`_short_rows`.
+    when another axis of ``x`` is innermost (see :func:`_c_order`).
 
-    numpy reduces so short an axis of a C array in the same order (a sum
-    from 0.0, so that a row of -0.0 sums to +0.0), so the bits are the
-    same; from 8 entries on numpy sums pairwise. The slices are views in
-    the layout of ``x``, so each ufunc call runs along its innermost
-    memory axis, and the result keeps that layout."""
-    if _short_rows(x, axis):
+    When ``axis`` is the last axis of a float64 array of 2 or more axes,
+    and it holds 2 to 7 entries in each of 256 rows or more, the slices
+    are combined left to right. numpy runs a separate loop for every row
+    of so short an axis, and a ufunc call per 1-D slice costs less; below
+    256 rows numpy's loops cost less than a call per slice. numpy reduces
+    so short an axis of a C array in the same order (a sum from 0.0, so
+    that a row of -0.0 sums to +0.0), so the bits are the same; from 8
+    entries on numpy sums pairwise. The slices are views in the layout of
+    ``x``, so each ufunc call runs along its innermost memory axis, and
+    the result keeps that layout."""
+    if (axis == -1 and type(x) is np.ndarray and x.ndim > 1
+            and 2 <= x.shape[-1] < 8 and x.size >= 256 * x.shape[-1]
+            and x.dtype == np.float64):
         out = x[..., 0] + 0.0 if ufunc is np.add else x[..., 0].copy("K")
         for k in range(1, x.shape[-1]):
             ufunc(out, x[..., k], out=out)
@@ -562,28 +553,10 @@ def take(x, idx, axis=-1):
     return x[idx if lead == 0 else (slice(None),) * lead + (idx,)]
 
 
-def _cumsum(x, axis):
-    """``np.cumsum(x, axis=axis)``, adding the slices left to right on the
-    short rows of :func:`_short_rows`: numpy accumulates sequentially at
-    every length, so the bits are the same."""
-    if not _short_rows(x, axis):
-        return np.asarray(x).cumsum(axis)  # without np.cumsum's wrapper
-    cols = x.reshape(-1, x.shape[-1])
-    out = np.empty(cols.shape)
-    out[:, 0] = cols[:, 0]
-    for k in range(1, cols.shape[1]):
-        np.add(out[:, k - 1], cols[:, k], out=out[:, k])
-    return out.reshape(x.shape)
-
-
 def cumsum(x, axis=-1):
-    if type(x) is not Var:
-        return _cumsum(x, axis)  # the float path, without node's loop
-
-    def partial(g):
-        return np.flip(_cumsum(np.flip(g, axis), axis), axis)
-
-    return node((x,), _cumsum(value(x), axis), (partial,))
+    # numpy accumulates sequentially at every length and in every layout
+    return node((x,), np.asarray(value(x)).cumsum(axis),
+                (lambda g: np.flip(np.flip(g, axis).cumsum(axis), axis),))
 
 
 def concat(xs: Sequence, axis=-1):

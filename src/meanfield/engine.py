@@ -40,6 +40,7 @@ manifests) so output files stay byte-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -147,6 +148,11 @@ class FitConfig:
         for name, least in counts:
             _check_count(name, getattr(self, name), least)
         _check_seed("seed", self.seed)
+        for name in ("step_scale", "threshold"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigurationError(
+                    f"{name} must be a real number, got {v!r}")
         if not 0.0 < self.step_scale < math.inf:  # written so NaN fails
             raise ConfigurationError(
                 f"step_scale must be finite and > 0, got {self.step_scale}")

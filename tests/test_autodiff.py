@@ -456,6 +456,59 @@ def test_only_leaf_node_and_structural_operations_use_push():
     assert users == _PUSHERS
 
 
+# each value primitive, called on floats
+_FLOAT_CALLS = {
+    "exp": lambda: ad.exp(0.7),
+    "log": lambda: ad.log(0.7),
+    "sqrt": lambda: ad.sqrt(0.7),
+    "logistic": lambda: ad.logistic(0.7),
+    "softplus": lambda: ad.softplus(0.7),
+    "log_gamma": lambda: ad.log_gamma(0.7),
+    "log_sum_exp": lambda: ad.log_sum_exp(np.array([0.3, 1.7])),
+    "cumsum": lambda: ad.cumsum(np.array([0.3, 1.7])),
+    "concat": lambda: ad.concat([np.array([0.3]), np.array([1.7])]),
+    "stack": lambda: ad.stack([0.3, 1.7]),
+    "add": lambda: ad.add(0.3, 1.7, 2.9),
+}
+
+
+@pytest.mark.parametrize("name", _FLOAT_CALLS)
+def test_value_primitives_on_floats_return_through_node(name, monkeypatch):
+    # one recording rule: a value primitive hands its value to node even
+    # on floats, where node returns it and records nothing
+    calls = []
+    record = ad.node
+
+    def counted(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(ad, "node", counted)
+    _FLOAT_CALLS[name]()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("outer", [(255,), (256,), (600,), (2, 300)],
+                         ids=str)
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cumsum_does_not_depend_on_memory_layout(outer, n):
+    # a cumulative sum is sequential in every layout: the value and the
+    # partial of a Fortran-order array, or of one with any axis innermost,
+    # keep the bytes of np.cumsum on its C copy
+    rng = np.random.default_rng(n * 1000 + len(outer))
+    x, w = (_rows(rng, outer, n, special=False) for _ in "xw")
+    want = np.cumsum(x, axis=-1)
+    want_d = np.flip(np.cumsum(np.flip(w, -1), axis=-1), -1)
+    for xl, wl in zip(_layouts(x), _layouts(w)):
+        assert not xl.flags.c_contiguous
+        assert _same_bits(ad.cumsum(xl), want)
+        leaf = ad.Graph().leaf(xl)
+        out = ad.cumsum(leaf)
+        assert _same_bits(out.val, want)
+        d_x, = ad.gradient(ad.sum(wl * out), [leaf])
+        assert _same_bits(d_x, want_d)
+
+
 @pytest.mark.parametrize("op, grad", [
     (lambda x: x.reshape((1,)), 1.0),
     (lambda x: ad.sum(x, -1), 1.0),

@@ -1,15 +1,21 @@
-"""The package names that the benchmark under ``perfbench/`` calls exist.
+"""The package names that the benchmark under ``perfbench/`` calls exist,
+and a traced benchmark run passes its own output checks.
 
 The benchmark reaches the package by name: ``tracing.TRACED`` lists the
 functions it wraps, and ``job.py`` calls attributes of its imported
 modules (``mf.fit``, ``ad.Graph``) and imports names from them. A name
 deleted or renamed in the package breaks only a benchmark run, so these
 tests read the names from the benchmark's own files and look each one up.
+A changed signature or a failed output check shows only when the
+benchmark runs, so one test runs it.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import meanfield
@@ -81,3 +87,15 @@ def test_every_package_name_the_job_reads_exists():
             "ad.gradient", "meanfield.model.constrain_blocks",
             "meanfield.cli.main"} <= set(found)
     assert not [name for name, value in found.items() if value is None]
+
+
+def test_a_traced_benchmark_run_passes_its_checks():
+    # nmf_minibatch reaches the Simplex cumulative sums, the minibatch
+    # probes and the chunked gradient tape; outputs go to perfbench/work/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "nmf_minibatch",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=_BENCH.parent, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, proc.stdout[-2000:]

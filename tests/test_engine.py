@@ -612,6 +612,14 @@ class TestFitConfig:
         c = FitConfig(grad_samples=np.int64(2), minibatch=5)
         assert (c.grad_samples, c.minibatch) == (2, 5)
 
+    @pytest.mark.parametrize("value", [True, False, "0.1", None])
+    @pytest.mark.parametrize("name", ["step_scale", "threshold"])
+    def test_float_settings_are_real_numbers(self, name, value):
+        # a bool was accepted (and a manifest would record true), and a
+        # string or None failed the range check with a bare TypeError
+        with pytest.raises(ConfigurationError, match=name):
+            FitConfig(**{name: value})
+
     def test_settable_surface(self):
         assert [f.name for f in fields(FitConfig)] == [
             "grad_samples", "elbo_samples", "step_scale", "threshold",

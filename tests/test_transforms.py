@@ -399,27 +399,36 @@ def test_simplex_value_and_log_det_keep_the_composed_bits(shape):
 
 @pytest.mark.parametrize("rows", [255, 256, 600])
 @pytest.mark.parametrize("size", [2, 4, 8, 9])
-def test_simplex_stick_sums_by_slices_keep_numpys_bits(size, rows,
-                                                       monkeypatch):
-    # from 256 rows a stick sum over 2-7 entries adds the column slices;
-    # the value, the log-det, the partials and the inverse keep the bytes
-    # of numpy's cumsum over every row
+def test_simplex_stick_sums_by_slices_keep_numpys_bits(size, rows):
+    # on both sides of the 256-row floor of autodiff's short-axis sums by
+    # slices, the value, the log-det and the inverse keep the bytes of the
+    # map and its inverse written out in numpy, and the gradient those of
+    # one row at a time (no operation mixes rows). One row at a time is no
+    # byte reference for the inverse: np.log of a 1-D reversed view may
+    # round an entry otherwise than np.log of the same entries in 2-D.
     rng = np.random.default_rng(rows + size)
     zeta = rng.normal(0.0, 2.0, (rows, size - 1))
     w = rng.normal(0.0, 1.0, (rows, size))
     kind = tr.Simplex(size)
 
-    def stick_outputs():
-        leaf = ad.Graph().leaf(zeta)
+    def stick_outputs(z, weights):
+        leaf = ad.Graph().leaf(z)
         theta, log_det = tr.constrain(kind, leaf)
-        (grad,) = ad.gradient(ad.sum(w * theta) + log_det, [leaf])
-        back = np.array(tr.unconstrain(kind, theta.val))
-        return [theta.val, np.asarray(log_det.val), grad, back]
+        (grad,) = ad.gradient(ad.sum(weights * theta) + log_det, [leaf])
+        return theta.val, log_det.val, grad
 
-    by_slices = stick_outputs()
-    monkeypatch.setattr(ad, "_short_rows", lambda x, axis: False)
-    for got, want in zip(by_slices, stick_outputs()):
-        assert got.tobytes() == want.tobytes()
+    theta, log_det, grad = stick_outputs(zeta, w)
+    want_theta, want_log_det = _composed_simplex(zeta, 0)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert np.asarray(log_det).tobytes() == \
+        np.asarray(want_log_det).tobytes()
+    by_row = np.stack([stick_outputs(z, u)[2] for z, u in zip(zeta, w)])
+    assert grad.tobytes() == by_row.tobytes()
+    rest = np.cumsum(theta[..., :0:-1], axis=-1)[..., ::-1]
+    want_back = (np.log(theta[..., :-1]) - np.log(rest)
+                 + np.log(np.arange(size - 1, 0, -1, dtype=float)))
+    back = np.array(tr.unconstrain(kind, theta))
+    assert back.tobytes() == want_back.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 3, 40, 300])
