@@ -257,18 +257,17 @@ def _elbo_and_drops(model, data, params, n_samples, rng, idx, n_obs):
             params, gen.standard_normal((n_samples, params.dim)))
         try:
             values, joints[:] = _prior_part(model, data, zetas)
-        except DomainError:  # score each draw alone; drop those that raise
-            for s, zeta in enumerate(zetas):
-                try:
-                    joints[s] = _joint(model, data, zeta, idx, None)
-                except DomainError:
-                    pass
+        except DomainError:  # a chunk's whole joint per call
+            chunks = draw_chunks(
+                lambda k: _joint(model, data, zetas[k], idx, None),
+                n_samples, n_obs)
         else:  # a constant prior broadcasts; the likelihood is chunked
-            chunks = draw_chunks(lambda k: ad.sum(model.loglik_term(
-                {name: v[k] for name, v in values.items()}, data, idx), -1),
+            chunks = draw_chunks(lambda k: joints[k] + ad.sum(
+                model.loglik_term({name: v[k] for name, v in values.items()},
+                                  data, idx), -1),
                 n_samples, n_obs) if idx is not None else ()
-            for k, lik in chunks:
-                joints[k] = math.nan if lik is None else joints[k] + lik
+        for k, joint in chunks:
+            joints[k] = math.nan if joint is None else joint
     kept = joints[np.isfinite(joints)].tolist()
     if not kept:
         raise EvaluationFailure(
@@ -288,11 +287,11 @@ def estimate_elbo(model: ModelDefinition, data: Dataset,
     log-det) is evaluated once for all of them, then the likelihood a
     chunk of draws per call (:func:`model.draw_chunks`); each draw's
     joint, the prior part + likelihood, has the bits of that draw's joint
-    alone. If the prior part raises :class:`DomainError`, each draw's
-    joint is evaluated alone. A draw out of domain on its own or with a
-    non-finite joint is dropped (fit counts them in
-    ``ElboTrace.elbo_draws_dropped``); if every draw fails, raises
-    :class:`EvaluationFailure`.
+    alone. If the prior part raises :class:`DomainError`, a chunk's whole
+    joint is scored per call; a chunk that raises is rerun one draw at a
+    time. A draw out of domain on its own or with a non-finite joint is
+    dropped (fit counts them in ``ElboTrace.elbo_draws_dropped``); if
+    every draw fails, raises :class:`EvaluationFailure`.
     """
     idx, n_obs, _ = _observations(model, data)
     return _elbo_and_drops(model, data, params, n_samples, rng, idx,

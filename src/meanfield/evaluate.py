@@ -85,30 +85,30 @@ def heldout_log_predictive(model: ModelDefinition, draws: PosteriorDraws,
         # one row per point: each point's draws are contiguous, so every
         # point's sum runs the same way whatever the chunk's width
         logliks = np.empty((len(idx), draws.size))
-        try:
-            with np.errstate(all="ignore"):
+        # a wild draw may overflow, and log 0 is -inf: neither is a warning
+        with np.errstate(all="ignore"):
+            try:
                 for key, out in draw_chunks(score, draws.size, len(idx)):
                     # a draw out of the domain scores log 0
                     logliks[:, key] = -math.inf if out is None else out.T
-        except ShapeError:  # data outside the likelihood's support
-            raise
-        except (IndexError, TypeError, KeyError, ValueError) as exc:
-            raise ConfigurationError(
-                f"data is not shape-compatible with model "
-                f"{model.name} at points {start}..{idx[-1]}: {exc}") from exc
-        # sorted, the sum does not depend on the order of the draws, and a
-        # NaN sorts last: the last column is each point's max or its NaN
-        logliks.sort(axis=1)
-        top = logliks[:, -1]
-        nan = np.isnan(top)
-        if nan.any():
-            raise EvaluationFailure(
-                f"NaN likelihood at point {idx[nan.argmax()]}")
-        # log-mean-exp in place; a point whose draws all score -inf keeps
-        # a shift of 0 and scores log(0) = -inf
-        shift = np.where(np.isfinite(top), top, 0.0)
-        logliks -= shift[:, None]
-        with np.errstate(divide="ignore"):
+            except ShapeError:  # data outside the likelihood's support
+                raise
+            except (IndexError, TypeError, KeyError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"data is not shape-compatible with model {model.name} "
+                    f"at points {start}..{idx[-1]}: {exc}") from exc
+            # sorted, the sum does not depend on the draws' order, and a
+            # NaN sorts last: the last column is each point's max or its NaN
+            logliks.sort(axis=1)
+            top = logliks[:, -1]
+            nan = np.isnan(top)
+            if nan.any():
+                raise EvaluationFailure(
+                    f"NaN likelihood at point {idx[nan.argmax()]}")
+            # log-mean-exp in place; a point whose draws all score -inf
+            # keeps a shift of 0 and scores log(0) = -inf
+            shift = np.where(np.isfinite(top), top, 0.0)
+            logliks -= shift[:, None]
             np.exp(logliks, out=logliks)
             scores = shift + np.log(np.add.reduce(logliks, axis=1)
                                     / draws.size)

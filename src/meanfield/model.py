@@ -38,12 +38,13 @@ prior of all their draws in one call; their likelihood, held-out scoring
 and the gradient draws of an iteration take a chunk of draws per call
 (:func:`draw_chunks`; a chunk of gradient draws is one tape, whose sweep
 gives each draw its own gradient because no operation mixes draws); a
-chunk of one draw has no draw axis. A :class:`DomainError` from a call concerns the draws of the
-call: a call that raises is rerun one draw at a time (each draw's whole
-joint, for an estimate's prior), and a draw that raises alone is out of
-the domain (the engine drops or redraws it, held-out scoring gives it
-log 0); a point the draw gives zero probability scores -inf; data
-outside the likelihood's support raises :class:`ShapeError`.
+chunk of one draw has no draw axis. A :class:`DomainError` from a call
+concerns the draws of the call: a call that raises is rerun one draw at
+a time (after an estimate's prior call raises, each chunk's whole joint
+is scored per call), and a draw that raises alone is out of the domain
+(the engine drops or redraws it, held-out scoring gives it log 0); a
+point the draw gives zero probability scores -inf; data outside the
+likelihood's support raises :class:`ShapeError`.
 
 A :class:`Dataset` checks and converts each entry to a numpy array once,
 when it is built, whether it comes from JSON or from code, and holds only

@@ -31,7 +31,6 @@ Formulas:
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -151,13 +150,9 @@ def _check_len(kind, got, expected):
             f"{type(kind).__name__}: expected length {expected}, got {got}")
 
 
-@functools.lru_cache(maxsize=64)
 def _stick_offsets(k: int) -> np.ndarray:
-    # log(K-1-i) for i = 0..K-2: zeta = 0 maps to the uniform simplex;
-    # built once per K and shared, so read-only
-    offsets = np.log(np.arange(k - 1, 0, -1, dtype=float))
-    offsets.flags.writeable = False
-    return offsets
+    # log(K-1-i) for i = 0..K-2: zeta = 0 maps to the uniform simplex
+    return np.log(np.arange(k - 1, 0, -1, dtype=float))
 
 
 def constrain(kind: TransformKind, zeta, draws: int = 0):
@@ -307,7 +302,8 @@ def unconstrain(kind: TransformKind, theta) -> list[float]:
         # The stick left after component i is the sum of the later ones,
         # accumulated from the end: one minus a prefix sum cancels when the
         # later components are tiny.
-        rest = ad.cumsum(theta[..., :0:-1])[..., ::-1]
+        # contiguous: np.log may round a reversed 1-D view unlike a batch
+        rest = np.ascontiguousarray(ad.cumsum(theta[..., :0:-1])[..., ::-1])
         zeta = (np.log(theta[..., :-1]) - np.log(rest)
                 + _stick_offsets(kind.size))
     elif isinstance(kind, Ordered):

@@ -718,7 +718,7 @@ def _chained_softplus(v):
     np.int64(-3), 3, 0.25, np.float64(-1.5), np.array(2.0),
 ], ids=["floats", "rows", "ints", "numpy_int", "int", "float",
         "numpy_float", "0d"])
-def test_softplus_in_one_buffer_keeps_the_chains_result(v):
+def test_softplus_keeps_the_chains_result(v):
     before = np.copy(v)
     want = _chained_softplus(v)
     got = ad.softplus(v)

@@ -375,11 +375,19 @@ def _baseline_env():
 
 
 # numpy refuses NPY_ENABLE_CPU_FEATURES beside NPY_DISABLE_CPU_FEATURES
-@pytest.mark.skipif(_umath.__cpu_baseline__ != _BITS_BASELINE
-                    or "NPY_ENABLE_CPU_FEATURES" in os.environ,
-                    reason="the table holds for numpy's X86_V2 baseline "
-                           "loops, which the runs select by disabling "
-                           "every target above it")
+_at_baseline = pytest.mark.skipif(
+    _umath.__cpu_baseline__ != _BITS_BASELINE
+    or "NPY_ENABLE_CPU_FEATURES" in os.environ,
+    reason="the table holds for numpy's X86_V2 baseline loops, which the "
+           "runs select by disabling every target above it")
+
+
+def _digests(paths):
+    return tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:8]
+                 for f in paths)
+
+
+@_at_baseline
 def test_outputs_keep_their_bits(tmp_path):
     runs, files = [], {}
     for name, model_name in _RUNS:
@@ -400,6 +408,40 @@ def test_outputs_keep_their_bits(tmp_path):
     # baseline level
     subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
                    env=_baseline_env(), check=True, capture_output=True)
-    got = {name: tuple(hashlib.sha256(f.read_bytes()).hexdigest()[:8]
-                       for f in pair) for name, pair in files.items()}
+    got = {name: _digests(pair) for name, pair in files.items()}
     assert got == _OUTPUT_BITS
+
+
+# (samples.csv, trace.csv) of each benchmark workload's CLI run on the
+# inputs perfbench/workloads.py writes at input seed 101, at the same
+# baseline level; the child writes the inputs too, so that the
+# simulation's numpy calls run at that level as well
+_WORKLOAD_BITS = {
+    "gmm_full": ("94064046", "4b5b1836"),
+    "nmf_minibatch": ("aee56ba7", "6fe529d7"),
+    "hier_elbo": ("29246737", "41632aef"),
+}
+
+_RUN_WORKLOADS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS, write_inputs
+from meanfield.cli import main
+for name in json.loads(sys.argv[2]):
+    d = Path(sys.argv[3]) / name
+    write_inputs(name, 101, d)
+    assert main(WORKLOADS[name].cli_args(d, d)) == 0, name
+"""
+
+
+@_at_baseline
+def test_benchmark_workloads_keep_their_bits(tmp_path):
+    bench = Path(__file__).parents[1] / "perfbench"
+    subprocess.run([sys.executable, "-c", _RUN_WORKLOADS, str(bench),
+                    json.dumps(list(_WORKLOAD_BITS)), str(tmp_path)],
+                   env=_baseline_env(), check=True, capture_output=True)
+    got = {name: _digests([tmp_path / name / "samples.csv",
+                           tmp_path / name / "trace.csv"])
+           for name in _WORKLOAD_BITS}
+    assert got == _WORKLOAD_BITS

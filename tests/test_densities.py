@@ -425,8 +425,8 @@ def test_bernoulli_logit_extreme_values_are_finite():
     (0, 0.75),
 ], ids=["points", "broadcast", "numpy_scalar", "float"])
 def test_bernoulli_logit_negates_its_own_softplus(y, logit):
-    # the mass is -softplus((1 - 2y) * logit), negated in place: the
-    # operands are not written to, and a scalar gives a numpy scalar
+    # the mass is -softplus((1 - 2y) * logit): the operands are not
+    # written to, and a scalar gives a numpy scalar
     before = np.copy(logit)
     want = -ad.softplus((1.0 - 2.0 * np.asarray(y)) * logit)
     got = dens.bernoulli_logit(y, logit)

@@ -282,21 +282,19 @@ def test_an_estimate_scores_the_prior_of_all_its_draws_in_one_call(
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("part", ["prior", "likelihood"])
-def test_a_draw_out_of_the_domain_is_dropped_alone(part, monkeypatch):
-    # the prior of all 100 draws in one call, the likelihood 4 draws a
-    # call: the one draw at or above the limit takes the prior call (or
-    # its chunk) down, and is the only draw dropped when the draws are
-    # rerun one at a time
-    monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 40)
+def _bounded(part, limit, calls=None):
+    """A one-coordinate normal model on 10 points whose prior or likelihood
+    (``part``) raises DomainError for a draw at or above ``limit[0]``;
+    each ``log_prior`` call is appended to ``calls``."""
     data = Dataset({"x": np.linspace(-1.0, 2.0, 10)})
-    limit = [math.inf]
 
     def check(z):
         if np.any(ad.value(z) >= limit[0]):
             raise DomainError("z at or above the limit")
 
     def log_prior(v, data):
+        if calls is not None:
+            calls.append(1)
         if part == "prior":
             check(v["z"])
         return dens.normal(v["z"], 0.0, 1.0)
@@ -310,6 +308,18 @@ def test_a_draw_out_of_the_domain_is_dropped_alone(part, monkeypatch):
         name="bounded", blocks=(BlockSpec("z", Identity(1), scalar=True),),
         log_prior=log_prior, loglik_term=loglik,
         num_observations=lambda data: len(data["x"]))
+    return model, data
+
+
+@pytest.mark.parametrize("part", ["prior", "likelihood"])
+def test_a_draw_out_of_the_domain_is_dropped_alone(part, monkeypatch):
+    # the prior of all 100 draws in one call, the likelihood 4 draws a
+    # call: the one draw at or above the limit takes the prior call (or
+    # its chunk) down, and is the only draw dropped when the draws are
+    # rerun one at a time
+    monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 40)
+    limit = [math.inf]
+    model, data = _bounded(part, limit)
     cfg = FitConfig(max_iterations=1, eval_interval=1, elbo_samples=100,
                     seed=2)
     params, trace = fit(model, data, cfg)
@@ -327,6 +337,26 @@ def test_a_draw_out_of_the_domain_is_dropped_alone(part, monkeypatch):
     assert len(kept) == 99
     expected = math.fsum(kept) / 99 + _entropy(params)
     assert float(trace.rows[0][2]).hex() == float(expected).hex()
+
+
+def test_a_failed_prior_call_reruns_through_draw_chunks(monkeypatch):
+    # 10 points at 40 pairs a call: after the prior call of all 100 draws
+    # fails, 25 chunks of 4 draws each score their whole joint, and only
+    # the chunk that holds the largest draw is rerun one draw at a time
+    monkeypatch.setattr(model_module, "_PAIRS_PER_CALL", 40)
+    limit, calls = [math.inf], []
+    model, data = _bounded("prior", limit, calls)
+    p = VariationalParams([0.3], [-0.5])
+    zetas = inverse_standardize(
+        p, np.random.default_rng(6).standard_normal((100, 1)))
+    limit[0] = zetas.max()
+    estimate = estimate_elbo(model, data, p, 100, 6)
+    assert len(calls) == 1 + 25 + 4
+    kept = [log_joint_unconstrained(model, data, z)
+            for z in zetas if z[0] < limit[0]]
+    assert len(kept) == 99
+    expected = math.fsum(kept) / 99 + _entropy(p)
+    assert float(estimate).hex() == float(expected).hex()
 
 
 # estimate_elbo(model, data, p, 50, 5) and the mean held-out score of
